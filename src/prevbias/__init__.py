@@ -56,13 +56,10 @@ from .experiments import (
     ReplicateRecord,
     ReportRow,
     ScenarioConfig,
-    emit_ci_fan,
-    run_active_info_table,
     run_coverage_table,
     run_experiment,
-    run_rmse_table,
 )
-from .maxent import ShareEstimate, SimplexSlab, covid_shares, expected_shares
+from .maxent import ShareEstimate, SimplexSlab, covid_shares, expected_shares, mean_shares
 from .model import (
     AsymptoticQuantities,
     Mechanism,

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit, logit
-from scipy.stats import norm
 
 from .errors import (
     BoundaryEstimate,
@@ -41,7 +40,14 @@ def normal_quantile(alpha: float) -> float:
     """Two-sided critical value: the ``1 - alpha/2`` standard normal quantile."""
     if not 0.0 < alpha <= 1.0:
         raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    # alpha <= 2^-53 rounds 1 - alpha/2 to 1, whose quantile is infinite
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0) if alpha > 2.0**-53 else math.inf
+
+
+def _expit(x: float) -> float:
+    """Logistic function; the sign split keeps ``math.exp`` from overflowing."""
+    z = math.exp(-abs(x))
+    return 1.0 / (1.0 + z) if x >= 0.0 else z / (1.0 + z)
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ def mechanism_plugin_inputs(
 
     Under mcar the sampling fraction is pooled (``N_T / N``) and the shares
     are the observed sample fractions; under mar/maxent the shares are the
-    known or integrated ones and ``pi_hat_s = N_Ts / (N * share_s)``.
+    known or maxent mean ones and ``pi_hat_s = N_Ts / (N * share_s)``.
     """
     if mechanism.kind == MCAR:
         pi_hat = np.full(outcome.s, outcome.n_t / outcome.n, dtype=float)
@@ -156,7 +162,7 @@ def mechanism_plugin_inputs(
         rho_hat = np.asarray(mechanism.rho_s, dtype=float)
     elif mechanism.kind == MAXENT:
         if shares is None:
-            raise InvalidSpec("maxent plug-in needs the integrated shares")
+            raise InvalidSpec("maxent plug-in needs the mean shares")
         rho_hat = np.asarray(shares, dtype=float)
     else:  # pragma: no cover
         raise InvalidSpec(f"unknown mechanism kind {mechanism.kind!r}")
@@ -185,11 +191,11 @@ def ci_logit_prevalence(
     half_width = lam * sigma / (est * (1.0 - est))
     if half_width == 0.0:
         return ConfidenceInterval(lo=est, hi=est, level=1.0 - alpha, target=target)
-    center = float(logit(est))
-    # expit underflows to exactly 0/1 for huge half-widths; keep the
-    # endpoints strictly inside the unit interval
-    lo = min(max(float(expit(center - half_width)), math.nextafter(0.0, 1.0)), est)
-    hi = max(min(float(expit(center + half_width)), math.nextafter(1.0, 0.0)), est)
+    center = math.log(est / (1.0 - est))
+    # expit rounds to exactly 0/1 for huge half-widths; keep the endpoints
+    # strictly inside the unit interval
+    lo = min(max(_expit(center - half_width), math.nextafter(0.0, 1.0)), est)
+    hi = max(min(_expit(center + half_width), math.nextafter(1.0, 0.0)), est)
     return ConfidenceInterval(lo=lo, hi=hi, level=1.0 - alpha, target=target)
 
 

@@ -33,7 +33,6 @@ from .config import load_scenario, parse_count_table
 from .errors import BoundaryEstimate, InvalidSpec, PrevBiasError
 from .estimators import build_bundle
 from .experiments import ExperimentReport, run_experiment
-from .rng import RngStream
 
 ACTIVEINFO_COLUMNS = (
     "n",
@@ -94,8 +93,8 @@ def cmd_estimate(args) -> int:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"input is not valid JSON: {exc}") from exc
-    outcome, mechanism, alpha, seed, n_samples = parse_count_table(doc)
-    bundle = build_bundle(outcome, mechanism, rng=RngStream(seed), n_samples=n_samples)
+    outcome, mechanism, alpha = parse_count_table(doc)
+    bundle = build_bundle(outcome, mechanism)
 
     warnings = list(bundle.warnings)
     result = {

@@ -28,9 +28,9 @@ A count-table document for one-shot estimation looks like::
       "alpha": 0.05
     }
 
-with rows ordered by symptom level and columns (healthy, infected).  The
-optional keys ``seed`` and ``n_samples`` control the Monte Carlo share
-integration used by bounded-share mechanisms.
+with rows ordered by symptom level and columns (healthy, infected).  Other
+keys are ignored, ``seed`` and ``n_samples`` among them: bounded-share
+mechanisms use the exact mean shares and need neither.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def load_scenario(path) -> tuple[ScenarioConfig, bytes]:
 def parse_count_table(doc: dict):
     """Parse a one-shot estimation request.
 
-    Returns ``(outcome, mechanism, alpha, seed, n_samples)``.
+    Returns ``(outcome, mechanism, alpha)``.
     """
     if not isinstance(doc, dict):
         raise InvalidSpec("count table must be a JSON object")
@@ -116,6 +116,4 @@ def parse_count_table(doc: dict):
     alpha = float(doc.get("alpha", 0.05))
     if not 0.0 < alpha <= 1.0:
         raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
-    seed = int(doc.get("seed", 0))
-    n_samples = int(doc.get("n_samples", 65536))
-    return outcome, mechanism, alpha, seed, n_samples
+    return outcome, mechanism, alpha

@@ -39,7 +39,7 @@ class DivisionByZeroWeight(PrevBiasError):
 
 
 class TooLarge(PrevBiasError):
-    """Exact enumeration was requested for a population above the supported size."""
+    """An exact enumeration or sum was requested above its supported size."""
 
 
 class EmptyRegion(PrevBiasError):

@@ -24,7 +24,7 @@ from .errors import (
     MechanismMismatch,
     UndefinedActiveInfo,
 )
-from .maxent import SimplexSlab, covid_shares, expected_shares
+from .maxent import SimplexSlab, covid_shares, mean_shares
 from .model import MAR, MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
 from .sampler import TestingOutcome
 
@@ -108,20 +108,13 @@ def p0_hat_mar(outcome: TestingOutcome, rho_s) -> float:
     return share_weighted_p0(outcome, w)
 
 
-def p0_hat_maxent(
-    outcome: TestingOutcome,
-    slab: SimplexSlab | None = None,
-    *,
-    rng=None,
-    n_samples: int = 4096,
-) -> float:
+def p0_hat_maxent(outcome: TestingOutcome, slab: SimplexSlab | None = None) -> float:
     """Corrected estimate with bounded unknown shares.
 
     With ``slab=None`` the two-class convenience-sampling bounds are derived
     from the counts themselves and the closed-form mean share is used.  With
-    an explicit slab the mean share comes from :func:`prevbias.maxent.
-    expected_shares` (exactly, for a degenerate slab, which reproduces the
-    known-shares estimator).
+    an explicit slab the mean share is :func:`prevbias.maxent.mean_shares`
+    (a degenerate slab reproduces the known-shares estimator).
     """
     if slab is None:
         if outcome.s != 2:
@@ -132,12 +125,8 @@ def p0_hat_maxent(
         if empty:
             raise EmptyStratum(empty)
         shares = covid_shares(outcome.n, outcome.n_t, int(outcome.n_ts[1]))
-    elif slab.is_degenerate:
-        shares = slab.lower
     else:
-        if rng is None:
-            raise InvalidSpec("Monte Carlo share integration needs an RngStream")
-        shares = expected_shares(slab, rng, n_samples).estimate
+        shares = mean_shares(slab)
     return share_weighted_p0(outcome, shares)
 
 
@@ -196,18 +185,12 @@ class EstimateBundle:
     warnings: tuple[str, ...] = field(default=())
 
 
-def build_bundle(
-    outcome: TestingOutcome,
-    mechanism: Mechanism,
-    *,
-    rng=None,
-    n_samples: int = 65536,
-) -> EstimateBundle:
+def build_bundle(outcome: TestingOutcome, mechanism: Mechanism) -> EstimateBundle:
     """Run the full estimation pipeline for one outcome.
 
     The maxent mechanism without explicit bounds uses the two-class
-    convenience-sampling closed form; with bounds it integrates over the
-    feasible share region (deterministically, given ``rng``).
+    convenience-sampling closed form; with bounds it uses the exact mean of
+    the feasible share region.
     """
     warnings: list[str] = []
     p_h = p_hat(outcome)
@@ -224,11 +207,7 @@ def build_bundle(
             rho_hat = covid_shares(outcome.n, outcome.n_t, int(outcome.n_ts[1]))
             p0_h = p0_hat_maxent(outcome)
         else:
-            slab = SimplexSlab(mechanism.lower, mechanism.upper)
-            if slab.is_degenerate:
-                rho_hat = slab.lower
-            else:
-                rho_hat = expected_shares(slab, rng, n_samples).estimate
+            rho_hat = mean_shares(SimplexSlab(mechanism.lower, mechanism.upper))
             p0_h = share_weighted_p0(outcome, rho_hat)
     else:  # pragma: no cover - Mechanism constructor forbids other kinds
         raise InvalidSpec(f"unknown mechanism kind {mechanism.kind!r}")

@@ -36,15 +36,10 @@ from .errors import (
     MechanismMismatch,
 )
 from .estimators import p_hat, share_weighted_p0
-from .maxent import SimplexSlab, expected_shares
+from .maxent import SimplexSlab, mean_shares
 from .model import MAR, MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
 from .rng import RngStream
 from .sampler import draw_outcome
-
-# Stream id reserved for the one-off maxent share integration; replicate
-# streams are k * replicates + r and stay far below this.
-_MAXENT_STREAM = 2**63
-_MAXENT_SAMPLES = 262144
 
 
 def _exact_fraction(value, where: str) -> Fraction:
@@ -221,11 +216,7 @@ def _scenario_shares(cfg: ScenarioConfig) -> np.ndarray | None:
     if mech.kind == MAXENT:
         if mech.lower is None:
             raise InvalidSpec("scenario maxent mechanisms need explicit share bounds")
-        slab = SimplexSlab(mech.lower, mech.upper)
-        if slab.is_degenerate:
-            return slab.lower
-        stream = RngStream(cfg.seed, _MAXENT_STREAM)
-        return expected_shares(slab, stream, _MAXENT_SAMPLES).estimate
+        return mean_shares(SimplexSlab(mech.lower, mech.upper))
     return None  # mcar reweights by the observed sample fractions
 
 
@@ -372,23 +363,8 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
     )
 
 
-def run_active_info_table(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
-    """Information decomposition per population size (log of mean estimates)."""
-    return run_experiment(cfg, threads)
-
-
-def run_rmse_table(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
-    """Root-mean-square error of the corrected estimate per population size."""
-    return run_experiment(cfg, threads)
-
-
 def run_coverage_table(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
     """Empirical interval coverage; defined for known-share (mar) scenarios."""
     if cfg.mechanism.kind != MAR:
         raise MechanismMismatch("coverage tables are defined for mar scenarios")
     return run_experiment(cfg, threads)
-
-
-def emit_ci_fan(cfg: ScenarioConfig, threads: int | None = None) -> tuple[FanRecord, ...]:
-    """Per-replicate interval records: one record per replicate per size."""
-    return run_experiment(cfg, threads).fan

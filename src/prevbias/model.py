@@ -375,7 +375,7 @@ def exact_quantities(
     limiting share weights ``rho_bar`` are the true class shares under the
     mcar/mar mechanisms; under maxent they must be supplied by the caller
     (the mean shares over the feasible region, see
-    :func:`prevbias.maxent.expected_shares`).
+    :func:`prevbias.maxent.mean_shares`).
 
     Returns
     -------

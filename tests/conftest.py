@@ -137,6 +137,44 @@ def oracle_mcar_mse(n, pi, p0):
     return p0 * (1 - p0) / (n - 1) * spread / mass
 
 
+def oracle_three_class_centroid(lower, upper):
+    """Exact mean of the uniform law on {lower <= rho <= upper, sum(rho) = 1}
+    for three classes, as the centroid of a plane polygon.
+
+    Projected onto (rho_0, rho_1), the region is the box [l0, u0] x [l1, u1]
+    cut by the half-planes rho_0 + rho_1 <= 1 - l2 and rho_0 + rho_1 >= 1 - u2.
+    The projection is linear, so the uniform law maps to the uniform law on
+    the polygon.  The box is clipped by each half-plane (Sutherland-Hodgman)
+    and the shoelace formula gives the centroid, all in Fractions.  The region
+    must have positive area.
+    """
+    lo = [F(x) for x in lower]
+    hi = [F(x) for x in upper]
+    poly = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+    for sign, bound in ((1, 1 - lo[2]), (-1, hi[2] - 1)):  # keep sign*(x+y) <= bound
+        slack = [bound - sign * (x + y) for x, y in poly]
+        clipped = []
+        for k, p in enumerate(poly):
+            q, f_p, f_q = poly[(k + 1) % len(poly)], slack[k], slack[(k + 1) % len(poly)]
+            if f_p >= 0:
+                clipped.append(p)
+            if f_p * f_q < 0:
+                r = f_p / (f_p - f_q)
+                clipped.append((p[0] + r * (q[0] - p[0]), p[1] + r * (q[1] - p[1])))
+        poly = clipped
+    area2 = cx = cy = F(0)
+    for k, (x0, y0) in enumerate(poly):
+        x1, y1 = poly[(k + 1) % len(poly)]
+        cross = x0 * y1 - x1 * y0
+        area2 += cross
+        cx += (x0 + x1) * cross
+        cy += (y0 + y1) * cross
+    assert area2 != 0, "the region has no area"
+    cx /= 3 * area2
+    cy /= 3 * area2
+    return [cx, cy, 1 - cx - cy]
+
+
 MNAR_PI_F = ((F("0.2"), F("0.3")), (F("0.7"), F("0.8")))
 MNAR_P = oracle_testing_prevalence(BASE_RHO_F, MNAR_PI_F)
 MNAR_CORRECTED_LIMIT = oracle_corrected_limit(BASE_RHO_F, MNAR_PI_F)

@@ -38,6 +38,10 @@ class TestQuantile:
     def test_two_sided_critical_values(self):
         assert normal_quantile(0.05) == pytest.approx(1.959963985, abs=1e-8)
         assert normal_quantile(1.0) == pytest.approx(0.0, abs=1e-12)
+        for alpha in (1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9):
+            assert normal_quantile(alpha) == pytest.approx(stats.norm.ppf(1 - alpha / 2), abs=1e-14)
+        # the level 1 - alpha/2 rounds to 1 below alpha = 2^-53
+        assert normal_quantile(1e-20) == math.inf
 
     def test_alpha_domain(self):
         with pytest.raises(InvalidSpec):
@@ -105,9 +109,10 @@ class TestLogitInterval:
 
     def test_endpoints_stay_inside_unit_interval_fuzzed(self):
         rng = np.random.default_rng(55)
-        for _ in range(300):
-            est = float(rng.uniform(1e-6, 1 - 1e-6))
-            sigma = float(rng.exponential(0.2))
+        cases = [(float(rng.uniform(1e-6, 1 - 1e-6)), float(rng.exponential(0.2))) for _ in range(300)]
+        # half-widths so large that the logistic function rounds to 0 and 1
+        cases += [(1e-9, 10.0), (1 - 1e-9, 10.0)]
+        for est, sigma in cases:
             ci = ci_logit_prevalence(est, sigma, 0.05)
             assert 0.0 < ci.lo <= est <= ci.hi < 1.0
 

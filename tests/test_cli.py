@@ -77,6 +77,16 @@ class TestEstimate:
         result = json.loads(proc.stdout)
         assert abs(result["rho_hat"][1] - 0.2) < 0.02
 
+    def test_bounded_share_output_ignores_seed_and_sample_count(self, tmp_path, capsys):
+        mechanism = {"type": "maxent", "lower": [0.7, 0.1], "upper": [0.9, 0.3]}
+        outputs = []
+        for seed, n_samples in ((1, 1000), (2, 99_999)):
+            path = tmp_path / f"table_{seed}.json"
+            path.write_text(json.dumps(dict(MAR_INPUT, mechanism=mechanism, seed=seed, n_samples=n_samples)))
+            assert main(["estimate", "--input", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_counts_exceeding_population_exit_2(self):
         doc = dict(MAR_INPUT, N=400)
         proc = run_cli(["estimate"], stdin=json.dumps(doc))
@@ -91,6 +101,13 @@ class TestEstimate:
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(MAR_INPUT))
         assert main(["estimate", "--input", str(path)]) == 0
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, prevbias; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestRun:

@@ -246,7 +246,7 @@ class TestBundle:
         rng = np.random.default_rng(13)
         for k in range(50):
             out = draw_outcome(spec_mar, RngStream(99, k))
-            bundle = build_bundle(out, mechanism, rng=RngStream(1, k))
+            bundle = build_bundle(out, mechanism)
             assert 0.0 <= bundle.p_hat <= 1.0
             assert 0.0 <= bundle.p0_hat <= 1.0
             assert float(np.sum(bundle.rho_hat)) == pytest.approx(1.0, abs=1e-12)
@@ -257,7 +257,7 @@ class TestBundle:
     def test_bounded_share_mechanism_with_explicit_bounds(self, spec_mar):
         out = draw_outcome(spec_mar, RngStream(4))
         mech = Mechanism.maxent([0.75, 0.15], [0.85, 0.25])
-        bundle = build_bundle(out, mech, rng=RngStream(8), n_samples=20_000)
+        bundle = build_bundle(out, mech)
         shares = bundle.rho_hat
         assert shares[1] == pytest.approx(0.2, abs=0.01)
         assert bundle.p0_hat == pytest.approx(share_weighted_p0(out, shares), abs=0)

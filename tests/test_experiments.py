@@ -11,11 +11,8 @@ from prevbias import (
     Mechanism,
     MechanismMismatch,
     ScenarioConfig,
-    emit_ci_fan,
-    run_active_info_table,
     run_coverage_table,
     run_experiment,
-    run_rmse_table,
 )
 from prevbias.scenarios import (
     coverage_scenario,
@@ -108,21 +105,21 @@ def _fan_nan_equal(fa, fb) -> bool:
 
 class TestActiveInfoAggregation:
     def test_uniform_testing_decomposition_is_exactly_zero(self):
-        report = run_active_info_table(mcar_scenario(n_grid=(1000, 10_000), replicates=100))
+        report = run_experiment(mcar_scenario(n_grid=(1000, 10_000), replicates=100))
         for row in report.rows:
             assert row.i_plus_t == 0.0
             assert row.i_plus_c == 0.0
             assert abs(row.i_plus) < 0.02
 
     def test_symptom_dependent_testing_matches_the_limit(self):
-        report = run_active_info_table(mar_scenario(n_grid=(100_000,), replicates=200))
+        report = run_experiment(mar_scenario(n_grid=(100_000,), replicates=200))
         row = report.rows[0]
         assert row.i_plus_t == pytest.approx(math.log(float(F(7, 13)) / 0.2), abs=0.01)
         assert row.i_plus_c == pytest.approx(-row.i_plus_t, abs=1e-15)
         assert abs(row.i_plus) < 0.01
 
     def test_status_dependent_testing_reports_partial_correction(self):
-        report = run_active_info_table(mnar_scenario(n_grid=(10_000, 100_000), replicates=200))
+        report = run_experiment(mnar_scenario(n_grid=(10_000, 100_000), replicates=200))
         for row in report.rows:
             # i_plus_t measured against the true prevalence, residual positive
             assert row.i_plus_t == pytest.approx(0.7464, abs=0.02)
@@ -136,19 +133,19 @@ class TestRmseAggregation:
             mcar_scenario(n_grid=(1000, 10_000, 100_000), replicates=300),
             mar_scenario(n_grid=(1000, 10_000, 100_000), replicates=300),
         ):
-            rows = run_rmse_table(cfg).rows
+            rows = run_experiment(cfg).rows
             values = [row.rmse_p0 for row in rows]
             assert values[0] > values[1] > values[2]
 
     def test_known_share_rmse_tracks_the_variance_formula(self):
-        rows = run_rmse_table(mar_scenario(n_grid=(10_000, 100_000), replicates=400)).rows
+        rows = run_experiment(mar_scenario(n_grid=(10_000, 100_000), replicates=400)).rows
         v3 = float(MAR_ORACLE["v3"])
         for row in rows:
             assert row.rmse_p0 == pytest.approx(math.sqrt(v3 / row.n), rel=0.25)
 
     def test_uniform_testing_rmse_tracks_the_biased_estimator_variance(self):
         # mcar needs no correction, so its RMSE is that of the uncorrected estimator
-        rows = run_rmse_table(mcar_scenario(n_grid=(10_000, 100_000), replicates=400)).rows
+        rows = run_experiment(mcar_scenario(n_grid=(10_000, 100_000), replicates=400)).rows
         for row in rows:
             assert row.rmse_p0 == pytest.approx(math.sqrt(oracle_mcar_mse(row.n, 0.6, 0.2)), rel=0.25)
 
@@ -198,7 +195,7 @@ class TestCoverage:
 class TestCiFan:
     def test_cardinality_and_consistency_with_coverage(self):
         cfg = coverage_scenario(2, n_grid=(1000, 10_000), replicates=150)
-        fan = emit_ci_fan(cfg)
+        fan = run_experiment(cfg).fan
         assert len(fan) == 300
         report = run_coverage_table(cfg)
         for row in report.rows:
@@ -208,7 +205,7 @@ class TestCiFan:
 
     def test_width_shrinks_like_root_n(self):
         cfg = mar_scenario(n_grid=(10_000, 1_000_000), replicates=120)
-        fan = emit_ci_fan(cfg)
+        fan = run_experiment(cfg).fan
         widths = {}
         for n in (10_000, 1_000_000):
             widths[n] = np.median([f.hi - f.lo for f in fan if f.n == n])

@@ -9,9 +9,14 @@ from prevbias import (
     RejectionStarvation,
     RngStream,
     SimplexSlab,
+    TooLarge,
     covid_shares,
     expected_shares,
+    mean_shares,
 )
+from prevbias.maxent import MAX_FREE_CLASSES
+
+from conftest import oracle_three_class_centroid
 
 
 class TestSlab:
@@ -75,6 +80,72 @@ class TestExpectedShares:
             expected_shares(SimplexSlab([0.0, 0.0], [1.0, 1.0]))
 
 
+class TestMeanShares:
+    def test_three_classes_match_the_polygon_centroid_exactly(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 100:
+            lower = rng.uniform(0.0, 0.4, size=3)
+            upper = np.minimum(lower + rng.uniform(0.05, 0.8, size=3), 1.0)
+            if not lower.sum() < 1.0 < upper.sum():
+                continue
+            exact = oracle_three_class_centroid(lower, upper)
+            assert mean_shares(SimplexSlab(lower, upper)).tolist() == [float(x) for x in exact]
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ([0.05, 0.1, 0.0, 0.2], [0.5, 0.4, 0.3, 0.6]),
+            ([0.0, 0.05, 0.1, 0.0, 0.15], [0.3, 0.35, 0.4, 0.25, 0.5]),
+        ],
+        ids=["S=4", "S=5"],
+    )
+    def test_four_and_five_classes_match_monte_carlo(self, lower, upper):
+        slab = SimplexSlab(lower, upper)
+        exact = mean_shares(slab)
+        est = expected_shares(slab, RngStream(12, len(lower)), n_samples=40_000)
+        assert np.all(np.abs(est.estimate - exact) <= 4.0 * est.stderr)
+        assert exact.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_fixed_class_keeps_its_share(self):
+        # class 0 is fixed at 0.25; the rest is the segment rho_1 in [0.1, 0.55]
+        shares = mean_shares(SimplexSlab([0.25, 0.1, 0.2], [0.25, 0.6, 0.7]))
+        assert shares[0] == 0.25
+        assert shares[1] == pytest.approx(0.325, abs=1e-15)
+        assert shares[2] == pytest.approx(0.425, abs=1e-15)
+
+    def test_point_regions_return_the_bound(self):
+        # exact sum(lower) exceeds 1 and exact sum(upper) falls short of 1,
+        # each within the slab's tolerance
+        assert mean_shares(SimplexSlab([0.8, 0.2], [0.9, 0.3])).tolist() == [0.8, 0.2]
+        assert mean_shares(SimplexSlab([0.5, 0.1], [0.7, 0.3])).tolist() == [0.7, 0.3]
+
+    def test_thin_region_is_exact(self):
+        # a float sum of the alternating terms breaks down here
+        shares = mean_shares(SimplexSlab([0.0] * 5, [0.2 + 1e-6] * 5))
+        assert shares.tolist() == [0.2] * 5
+
+    def test_permutation_equivariance_is_exact(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            lower = rng.uniform(0.0, 0.25, size=4)
+            upper = np.minimum(lower + rng.uniform(0.0, 0.6, size=4), 1.0)
+            if not lower.sum() < 1.0 < upper.sum():
+                continue
+            shares = mean_shares(SimplexSlab(lower, upper))
+            perm = rng.permutation(4)
+            assert mean_shares(SimplexSlab(lower[perm], upper[perm])).tolist() == shares[perm].tolist()
+
+    def test_free_class_cap(self):
+        s = MAX_FREE_CLASSES + 1
+        with pytest.raises(TooLarge):
+            mean_shares(SimplexSlab([0.0] * s, [1.0] * s))
+        # fixed classes do not count against the cap
+        shares = mean_shares(SimplexSlab([0.0] * s, [1.0] * (s - 1) + [0.0]))
+        assert shares.tolist() == [1.0 / (s - 1)] * (s - 1) + [0.0]
+
+
 class TestCovidShares:
     def test_reference_midpoint(self):
         shares = covid_shares(1000, 500, 100)
@@ -104,3 +175,5 @@ class TestCovidShares:
             shares = covid_shares(n, n_t, n_t1)
             midpoint = 0.5 * (n_t1 / n + n_t1 / n_t)
             assert shares[1] == pytest.approx(midpoint, abs=1e-12)
+            exact = mean_shares(SimplexSlab.covid(n, n_t, n_t1))
+            assert exact == pytest.approx(shares, abs=1e-12)
