@@ -53,7 +53,6 @@ from .estimators import (
 from .experiments import (
     ExperimentReport,
     FanRecord,
-    ReplicateRecord,
     ReportRow,
     ScenarioConfig,
     run_coverage_table,

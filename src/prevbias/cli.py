@@ -16,7 +16,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+import traceback
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +33,7 @@ from .asymptotics import (
 from .config import load_scenario, parse_count_table
 from .errors import BoundaryEstimate, InvalidSpec, PrevBiasError
 from .estimators import build_bundle
-from .experiments import ExperimentReport, run_experiment
+from .experiments import run_experiment
 
 ACTIVEINFO_COLUMNS = (
     "n",
@@ -59,17 +60,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fan_rows(report: ExperimentReport) -> list[dict]:
-    return [asdict(record) for record in report.fan]
-
-
 def _write_table(path: Path, columns, rows, fmt: str) -> None:
+    """Write the named fields of each row object (a ReportRow or FanRecord)."""
+    fields = attrgetter(*columns)
     if fmt == "json":
-        payload = [{key: row[key] for key in columns} for row in rows]
+        payload = [dict(zip(columns, fields(row))) for row in rows]
         path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
         return
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(row[key]) for key in columns) for row in rows)
+    lines.extend(",".join(map(_fmt, fields(row))) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -164,11 +163,10 @@ def cmd_run(args) -> int:
         "coverage": out_dir / f"{cfg.label}_coverage.{ext}",
         "cifan": out_dir / f"{cfg.label}_cifan.{ext}",
     }
-    rows = [asdict(row) for row in report.rows]
-    _write_table(files["activeinfo"], ACTIVEINFO_COLUMNS, rows, args.format)
-    _write_table(files["rmse"], RMSE_COLUMNS, rows, args.format)
-    _write_table(files["coverage"], COVERAGE_COLUMNS, rows, args.format)
-    _write_table(files["cifan"], CIFAN_COLUMNS, _fan_rows(report), args.format)
+    _write_table(files["activeinfo"], ACTIVEINFO_COLUMNS, report.rows, args.format)
+    _write_table(files["rmse"], RMSE_COLUMNS, report.rows, args.format)
+    _write_table(files["coverage"], COVERAGE_COLUMNS, report.rows, args.format)
+    _write_table(files["cifan"], CIFAN_COLUMNS, report.fan, args.format)
 
     manifest = {
         "label": cfg.label,
@@ -222,8 +220,9 @@ def main(argv=None) -> int:
     except PrevBiasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if args.command == "estimate" else 3
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -4,9 +4,16 @@ A scenario fixes the population shape (shares, testing probabilities), a
 correction mechanism, a grid of population sizes, a replicate count, a
 confidence level, and a seed.  Replicate ``r`` at grid position ``k`` draws
 from the dedicated stream ``(seed, k * replicates + r)``, so replicates are
-independent work items: any thread layout produces the same records, and
+independent work items: any thread layout draws the same counts, and
 aggregation happens in replicate order.  Reports are therefore byte-stable
 for a given configuration.
+
+The engine works on one grid position at a time.  It draws every replicate's
+counts into one ``(replicates, S, 2)`` array, then computes the estimates,
+standard errors and intervals of all replicates at once
+(:func:`replicate_columns`), with the same floating-point operations in the
+same order as the one-shot functions in :mod:`prevbias.estimators` and
+:mod:`prevbias.asymptotics`, which remain its reference.
 
 Aggregation of the information tables averages the probability estimates
 across replicates first and takes logarithms of the means.  When the
@@ -19,6 +26,7 @@ is reported for every mechanism.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -27,19 +35,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import ci_logit_prevalence, mechanism_plugin_inputs, plugin_variances, sigma_p0
-from .errors import (
-    BoundaryEstimate,
-    EmptySample,
-    EmptyStratum,
-    InvalidSpec,
-    MechanismMismatch,
-)
-from .estimators import p_hat, share_weighted_p0
+from .asymptotics import _expit, normal_quantile
+from .errors import InvalidSpec, MechanismMismatch
 from .maxent import SimplexSlab, mean_shares
 from .model import MAR, MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
-from .rng import RngStream
-from .sampler import draw_outcome
+from .rng import stream_generator
+
+# interval endpoints are clamped strictly inside (0, 1), as in ci_logit_prevalence
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _exact_fraction(value, where: str) -> Fraction:
@@ -130,25 +134,6 @@ class ScenarioConfig:
         return np.array([float(row[0] + row[1]) for row in self.rho])
 
 
-@dataclass(frozen=True, slots=True)
-class ReplicateRecord:
-    """Per-replicate results; ``ok`` is False for discarded replicates
-    (an empty sample or an empty positively-weighted class)."""
-
-    n: int
-    rep: int
-    ok: bool
-    p_hat: float
-    p0_hat: float
-    sigma_p0: float
-    lo: float
-    hi: float
-    hit: bool
-    boundary: bool
-    degenerate: bool
-    it_defined: bool
-
-
 @dataclass(frozen=True)
 class ReportRow:
     """Aggregates for one population size."""
@@ -194,20 +179,6 @@ class ExperimentReport:
     fan: tuple[FanRecord, ...]
 
 
-_DISCARDED = dict(
-    ok=False,
-    p_hat=math.nan,
-    p0_hat=math.nan,
-    sigma_p0=math.nan,
-    lo=math.nan,
-    hi=math.nan,
-    hit=False,
-    boundary=False,
-    degenerate=False,
-    it_defined=False,
-)
-
-
 def _scenario_shares(cfg: ScenarioConfig) -> np.ndarray | None:
     """Share weights used by the corrected estimator, fixed per scenario."""
     mech = cfg.mechanism
@@ -220,75 +191,153 @@ def _scenario_shares(cfg: ScenarioConfig) -> np.ndarray | None:
     return None  # mcar reweights by the observed sample fractions
 
 
-def _run_replicate(spec, mechanism, shares, p0_true, alpha, seed, stream, n, rep):
-    gen = RngStream(seed, stream).generator()
-    outcome = draw_outcome(spec, gen)
-    try:
-        p_h = p_hat(outcome)
-        if mechanism.kind == MCAR:
-            p0_h = p_h
-        else:
-            p0_h = share_weighted_p0(outcome, shares)
-    except (EmptySample, EmptyStratum):
-        return ReplicateRecord(n=n, rep=rep, **_DISCARDED)
+@dataclass(frozen=True, eq=False)
+class ReplicateColumns:
+    """Per-replicate results at one grid position, one array entry per
+    replicate.  ``ok`` is False for discarded replicates (an empty sample or
+    an empty positively-weighted class); their floats are NaN and their flags
+    False.  Boundary estimates (0 or 1) have NaN endpoints and no hit."""
 
-    pi_hat, rho_hat = mechanism_plugin_inputs(outcome, mechanism, shares)
-    v = plugin_variances(outcome, pi_hat, rho_hat)
-    s_p0 = sigma_p0(v, spec.n)
-    try:
-        ci = ci_logit_prevalence(p0_h, s_p0, alpha)
-        lo, hi, hit, boundary = ci.lo, ci.hi, ci.contains(p0_true), False
-    except BoundaryEstimate:
-        lo = hi = math.nan
-        hit, boundary = False, True
-    return ReplicateRecord(
-        n=n,
-        rep=rep,
-        ok=True,
-        p_hat=p_h,
-        p0_hat=p0_h,
-        sigma_p0=s_p0,
-        lo=lo,
-        hi=hi,
-        hit=hit,
-        boundary=boundary,
-        degenerate=v.degenerate,
-        it_defined=p_h > 0.0 and p0_h > 0.0,
-    )
+    ok: np.ndarray
+    p_hat: np.ndarray
+    p0_hat: np.ndarray
+    sigma_p0: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    hit: np.ndarray
+    boundary: np.ndarray
+    degenerate: np.ndarray
+    it_defined: np.ndarray
 
 
-def _run_records(cfg: ScenarioConfig, threads: int | None) -> list[list[ReplicateRecord]]:
+def _draw_rows(spec: PopulationSpec, seed: int, base: int, start: int, stop: int) -> list[list[int]]:
+    """Flattened counts of replicates ``start..stop-1``, replicate ``r`` from
+    stream ``(seed, base + r)``.  One scalar binomial call per cell in C order
+    draws what :func:`prevbias.sampler.draw_outcome`'s array call draws from
+    the same stream, and costs less for a handful of cells."""
+    cells = list(zip(spec.n_si.ravel().tolist(), spec.pi.ravel().tolist()))
+    rows = []
+    for r in range(start, stop):
+        binomial = stream_generator(seed, base + r).binomial
+        rows.append([binomial(size, p) for size, p in cells])
+    return rows
+
+
+def _draw_counts(cfg: ScenarioConfig, specs: list[PopulationSpec], threads: int | None) -> list[np.ndarray]:
+    """One ``(replicates, S, 2)`` counts array per grid position.  Threads fill
+    disjoint replicate slices; every replicate has its own stream, so the
+    arrays do not depend on the thread count."""
     workers = threads if threads else (os.cpu_count() or 1)
-    shares = _scenario_shares(cfg)
     reps = cfg.replicates
-    per_n: list[list[ReplicateRecord]] = []
-    tasks = []
-    for k, n in enumerate(cfg.n_grid):
-        spec = cfg.spec_for(n)
-        p0_true = population_prevalence(spec)
-        slots: list[ReplicateRecord | None] = [None] * reps
-        per_n.append(slots)  # type: ignore[arg-type]
-        chunk = max(1, math.ceil(reps / workers))
-        for start in range(0, reps, chunk):
-            stop = min(start + chunk, reps)
-            tasks.append((k, spec, p0_true, start, stop))
+    chunk = max(1, math.ceil(reps / workers))
+    counts = [np.empty((reps, spec.s, 2), dtype=np.int64) for spec in specs]
+    tasks = [
+        (k, start, min(start + chunk, reps)) for k in range(len(specs)) for start in range(0, reps, chunk)
+    ]
 
-    def run_chunk(task):
-        k, spec, p0_true, start, stop = task
-        base = k * reps
-        return k, start, [
-            _run_replicate(spec, cfg.mechanism, shares, p0_true, cfg.alpha, cfg.seed, base + r, spec.n, r)
-            for r in range(start, stop)
-        ]
+    def fill(task):
+        k, start, stop = task
+        rows = _draw_rows(specs[k], cfg.seed, k * reps, start, stop)
+        counts[k][start:stop] = np.array(rows, dtype=np.int64).reshape(stop - start, -1, 2)
 
     if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, tasks))
+            list(pool.map(fill, tasks))
     else:
-        results = [run_chunk(t) for t in tasks]
-    for k, start, records in results:
-        per_n[k][start : start + len(records)] = records
-    return per_n
+        for task in tasks:
+            fill(task)
+    return counts
+
+
+def replicate_columns(
+    counts, n_si, mechanism: Mechanism, shares, p0_true: float, alpha: float
+) -> ReplicateColumns:
+    """Estimates, plug-in standard errors and logit intervals of every
+    replicate in an ``(R, S, 2)`` counts array at once.
+
+    Bit for bit what :func:`p_hat`, :func:`share_weighted_p0`,
+    :func:`mechanism_plugin_inputs`, :func:`plugin_variances`,
+    :func:`sigma_p0` and :func:`ci_logit_prevalence` give replicate by
+    replicate (for populations below 2**53): sums over classes run in the
+    scalar order, the interval uses the same ``math`` functions, and a
+    negative V3 raises the ``ValueError`` of :func:`math.sqrt`.  ``shares``
+    is the corrected estimator's share vector; it is ignored under mcar.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    n_si = np.asarray(n_si, dtype=np.int64)
+    if counts.ndim != 3 or counts.shape[1:] != n_si.shape or n_si.shape[1:] != (2,):
+        raise InvalidSpec(f"counts of shape {counts.shape} do not match the strata {n_si.shape}")
+    if np.any(counts < 0) or np.any(counts > n_si):
+        raise InvalidSpec("tested counts must lie between 0 and their stratum sizes")
+    n = int(n_si.sum())
+    positives = counts[:, :, 1]
+    n_ts = counts.sum(axis=2)
+    n_t = n_ts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_h = positives.sum(axis=1) / n_t
+        rates = positives / n_ts
+        if mechanism.kind == MCAR:
+            ok = n_t > 0
+            p0_h = p_h
+            rho = n_ts / n_t[:, None]
+            pi_hat = np.broadcast_to((n_t / n)[:, None], n_ts.shape)
+        else:
+            w = np.asarray(shares, dtype=float)
+            ok = (n_t > 0) & ~np.any((w > 0.0) & (n_ts == 0), axis=1)
+            p0_h = np.zeros(len(counts))
+            for s in np.flatnonzero(w > 0.0):  # class by class, as the scalar sum
+                p0_h = p0_h + w[s] * rates[:, s]
+            rho = np.broadcast_to(w, n_ts.shape)
+            pi_hat = n_ts / (n * w)
+
+        # plugin_variances with rho_bar = rho_hat, reduced to V3
+        active = rho > 0.0
+        p0s = np.where(n_ts > 0, rates, 0.0)
+        degenerate = ok & np.any(active & ((p0s == 0.0) | (p0s == 1.0)), axis=1)
+        r = np.where(active, rho, 0.0)
+        pi_safe = np.where(active, pi_hat, 1.0)
+        noise = p0s * (1.0 - p0s)
+        odds = (1.0 - pi_safe) / pi_safe
+        ratio3 = np.where(active, r**2 / np.where(active, r, 1.0), 0.0)
+        # numpy sums each contiguous row as it sums the scalar path's 1-D array
+        v3 = (ratio3 * odds * noise).sum(axis=1)
+        if np.any(v3[ok] < 0.0):
+            raise ValueError("math domain error")
+        sigma = np.sqrt(v3 / n)
+
+        p_h = np.where(ok, p_h, np.nan)
+        p0_h = np.where(ok, p0_h, np.nan)
+        sigma = np.where(ok, sigma, np.nan)
+        interior = ok & (0.0 < p0_h) & (p0_h < 1.0)
+        half = normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h))
+        odds_est = p0_h / (1.0 - p0_h)
+
+    lo = np.full(len(counts), np.nan)
+    hi = lo.copy()
+    idx = np.flatnonzero(interior)
+    lo_l, hi_l = [], []
+    for est, hw, ratio in zip(p0_h[idx].tolist(), half[idx].tolist(), odds_est[idx].tolist()):
+        if hw == 0.0:
+            lo_l.append(est)
+            hi_l.append(est)
+            continue
+        center = math.log(ratio)
+        lo_l.append(min(max(_expit(center - hw), _ABOVE_ZERO), est))
+        hi_l.append(max(min(_expit(center + hw), _BELOW_ONE), est))
+    lo[idx] = lo_l
+    hi[idx] = hi_l
+    return ReplicateColumns(
+        ok=ok,
+        p_hat=p_h,
+        p0_hat=p0_h,
+        sigma_p0=sigma,
+        lo=lo,
+        hi=hi,
+        hit=(lo <= p0_true) & (p0_true <= hi),
+        boundary=ok & ~interior,
+        degenerate=degenerate,
+        it_defined=ok & (p_h > 0.0) & (p0_h > 0.0),
+    )
 
 
 def _log_ratio(numerator: float, denominator: float) -> float:
@@ -299,16 +348,18 @@ def _log_ratio(numerator: float, denominator: float) -> float:
 
 def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
     """Run the scenario and aggregate every table in one pass."""
-    record_lists = _run_records(cfg, threads)
-    mar_compatible = cfg.spec_for(cfg.n_grid[0]).is_mar
+    shares = _scenario_shares(cfg)
+    specs = [cfg.spec_for(n) for n in cfg.n_grid]
+    all_counts = _draw_counts(cfg, specs, threads)
+    mar_compatible = specs[0].is_mar
     rows = []
     fan = []
-    for k, n in enumerate(cfg.n_grid):
-        records = record_lists[k]
-        p0_true = population_prevalence(cfg.spec_for(n))
-        kept = [r for r in records if r.ok]
-        p_hats = np.array([r.p_hat for r in kept])
-        p0_hats = np.array([r.p0_hat for r in kept])
+    for n, spec, counts in zip(cfg.n_grid, specs, all_counts):
+        p0_true = population_prevalence(spec)
+        cols = replicate_columns(counts, spec.n_si, cfg.mechanism, shares, p0_true, cfg.alpha)
+        kept = int(cols.ok.sum())
+        p_hats = cols.p_hat[cols.ok]
+        p0_hats = cols.p0_hat[cols.ok]
         mean_p = float(p_hats.mean()) if kept else math.nan
         mean_p0 = float(p0_hats.mean()) if kept else math.nan
 
@@ -324,8 +375,8 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
             errors = p0_hats - p0_true
             rmse = float(np.sqrt(np.mean(errors**2)))
             abs_err = np.abs(errors)
-            rmse_sd = float(abs_err.std(ddof=1)) if len(kept) > 1 else math.nan
-            coverage = float(np.mean([r.hit for r in kept]))
+            rmse_sd = float(abs_err.std(ddof=1)) if kept > 1 else math.nan
+            coverage = float(np.mean(cols.hit[cols.ok]))
         else:
             rmse = rmse_sd = coverage = math.nan
 
@@ -333,9 +384,9 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
             ReportRow(
                 n=n,
                 replicates=cfg.replicates,
-                kept=len(kept),
-                discarded=cfg.replicates - len(kept),
-                undefined_active_info=sum(1 for r in kept if not r.it_defined),
+                kept=kept,
+                discarded=cfg.replicates - kept,
+                undefined_active_info=kept - int(cols.it_defined.sum()),
                 mean_p_hat=mean_p,
                 mean_p0_hat=mean_p0,
                 i_plus_t=i_t,
@@ -344,12 +395,12 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
                 rmse_p0=rmse,
                 rmse_abs_sd=rmse_sd,
                 coverage=coverage,
-                boundary_misses=sum(1 for r in kept if r.boundary),
+                boundary_misses=int(cols.boundary.sum()),
             )
         )
         fan.extend(
-            FanRecord(n=n, rep=r.rep, p0_hat=r.p0_hat, lo=r.lo, hi=r.hi, hit=r.hit)
-            for r in records
+            map(FanRecord, itertools.repeat(n), range(cfg.replicates), cols.p0_hat.tolist(),
+                cols.lo.tolist(), cols.hi.tolist(), cols.hit.tolist())
         )
     return ExperimentReport(
         label=cfg.label,

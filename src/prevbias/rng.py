@@ -12,6 +12,7 @@ experiment layer parallelises replicates without any sequential RNG coupling.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import InvalidSpec
 
@@ -41,7 +42,13 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Materialise a fresh generator positioned at the stream origin."""
-        return np.random.default_rng(np.random.SeedSequence((int(self.seed), int(self.stream))))
+        return stream_generator(int(self.seed), int(self.stream))
+
+
+def stream_generator(seed: int, stream: int) -> np.random.Generator:
+    """The generator of stream ``(seed, stream)``, unchecked.  It is what
+    ``default_rng`` builds from the same SeedSequence, at a lower cost."""
+    return Generator(PCG64(SeedSequence((seed, stream))))
 
 
 def as_generator(rng) -> np.random.Generator:

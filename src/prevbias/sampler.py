@@ -4,8 +4,10 @@ Testing decisions are independent Bernoulli draws per individual, so the
 tested count of each subpopulation is binomial: ``N_Tsi ~ Bin(N_si, pi_si)``,
 independently across cells.  Draws are made per cell rather than per
 individual; the two are the same distribution and the cell-level draw is
-O(S) instead of O(N).  Still, a 2-core x86 host runs only about 3,200
-replicates per second at N = 10^6: half a million take about 155 s.
+O(S) instead of O(N).  The batched study engine draws the same cells from
+the same streams: on a shared 2-core x86 host it ran 33,000-44,000
+replicates per second at N = 10^6 with one thread, so half a million take
+about 15 s, and building each replicate's generator is most of that time.
 """
 
 from __future__ import annotations

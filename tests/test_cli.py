@@ -154,6 +154,18 @@ class TestRun:
         assert proc.returncode == 2
         assert "not an integer" in proc.stderr
 
+    def test_internal_error_prints_type_and_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken_engine(cfg, threads=None):
+            raise RuntimeError("engine failed")
+
+        monkeypatch.setattr("prevbias.cli.run_experiment", broken_engine)
+        config = small_config(tmp_path)
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "in broken_engine" in err
+        assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: engine failed"
+
     def test_missing_config_exit_2(self, tmp_path):
         proc = run_cli(["run", "--config", str(tmp_path / "nope.json")])
         assert proc.returncode == 2
