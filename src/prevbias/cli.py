@@ -200,7 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="scenario JSON file")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out-dir", default=".", help="directory for the report files")
-    run.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores)")
+    run.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility; has no effect on the output or the speed",
+    )
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.set_defaults(func=cmd_run)
     return parser

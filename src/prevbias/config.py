@@ -15,9 +15,10 @@ A scenario document looks like::
       "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]}
     }
 
-Shares are decimal strings so that the integer subpopulation-size checks are
-exact at every grid size; plain numbers are accepted but are interpreted
-through their decimal literal.
+Shares are decimal or fraction strings (``"0.8"``, ``"4/5"``) so that the
+integer subpopulation-size checks are exact at every grid size; plain numbers
+are accepted but are interpreted through their decimal literal.  The
+mechanism's ``rho_s`` and maxent ``lower``/``upper`` take the same forms.
 
 A count-table document for one-shot estimation looks like::
 
@@ -58,15 +59,9 @@ def parse_mechanism(doc) -> Mechanism:
     if kind == "mcar":
         return Mechanism.mcar()
     if kind == "mar":
-        return Mechanism.mar([str(x) for x in _require(doc, "rho_s", "mar mechanism")])
+        return Mechanism.mar(_require(doc, "rho_s", "mar mechanism"))
     if kind == "maxent":
-        lower = doc.get("lower")
-        upper = doc.get("upper")
-        if lower is None and upper is None:
-            return Mechanism.maxent()
-        return Mechanism.maxent(
-            np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        )
+        return Mechanism.maxent(doc.get("lower"), doc.get("upper"))
     raise InvalidSpec(f"unknown mechanism type {kind!r} (expected mcar, mar, or maxent)")
 
 

@@ -3,10 +3,9 @@
 A scenario fixes the population shape (shares, testing probabilities), a
 correction mechanism, a grid of population sizes, a replicate count, a
 confidence level, and a seed.  Replicate ``r`` at grid position ``k`` draws
-from the dedicated stream ``(seed, k * replicates + r)``, so replicates are
-independent work items: any thread layout draws the same counts, and
-aggregation happens in replicate order.  Reports are therefore byte-stable
-for a given configuration.
+from the dedicated stream ``(seed, k * replicates + r)``, and aggregation
+happens in replicate order, so reports are byte-stable for a given
+configuration.
 
 The engine works on one grid position at a time.  It draws every replicate's
 counts into one ``(replicates, S, 2)`` array, then computes the estimates,
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +36,7 @@ from .asymptotics import _expit, normal_quantile
 from .errors import InvalidSpec, MechanismMismatch
 from .maxent import SimplexSlab, mean_shares
 from .model import MAR, MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
-from .rng import stream_generator
+from .rng import stream_generators
 
 # interval endpoints are clamped strictly inside (0, 1), as in ci_logit_prevalence
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
@@ -210,42 +207,19 @@ class ReplicateColumns:
     it_defined: np.ndarray
 
 
-def _draw_rows(spec: PopulationSpec, seed: int, base: int, start: int, stop: int) -> list[list[int]]:
-    """Flattened counts of replicates ``start..stop-1``, replicate ``r`` from
-    stream ``(seed, base + r)``.  One scalar binomial call per cell in C order
-    draws what :func:`prevbias.sampler.draw_outcome`'s array call draws from
-    the same stream, and costs less for a handful of cells."""
-    cells = list(zip(spec.n_si.ravel().tolist(), spec.pi.ravel().tolist()))
-    rows = []
-    for r in range(start, stop):
-        binomial = stream_generator(seed, base + r).binomial
-        rows.append([binomial(size, p) for size, p in cells])
-    return rows
-
-
-def _draw_counts(cfg: ScenarioConfig, specs: list[PopulationSpec], threads: int | None) -> list[np.ndarray]:
-    """One ``(replicates, S, 2)`` counts array per grid position.  Threads fill
-    disjoint replicate slices; every replicate has its own stream, so the
-    arrays do not depend on the thread count."""
-    workers = threads if threads else (os.cpu_count() or 1)
+def _draw_counts(cfg: ScenarioConfig, specs: list[PopulationSpec]) -> list[np.ndarray]:
+    """One ``(replicates, S, 2)`` counts array per grid position, replicate
+    ``r`` at position ``k`` from stream ``(seed, k * replicates + r)``.  One
+    scalar binomial call per cell in C order draws what
+    :func:`prevbias.sampler.draw_outcome`'s array call draws from the same
+    stream, and costs less for a handful of cells."""
     reps = cfg.replicates
-    chunk = max(1, math.ceil(reps / workers))
-    counts = [np.empty((reps, spec.s, 2), dtype=np.int64) for spec in specs]
-    tasks = [
-        (k, start, min(start + chunk, reps)) for k in range(len(specs)) for start in range(0, reps, chunk)
-    ]
-
-    def fill(task):
-        k, start, stop = task
-        rows = _draw_rows(specs[k], cfg.seed, k * reps, start, stop)
-        counts[k][start:stop] = np.array(rows, dtype=np.int64).reshape(stop - start, -1, 2)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, tasks))
-    else:
-        for task in tasks:
-            fill(task)
+    generators = stream_generators(cfg.seed, np.arange(len(specs) * reps, dtype=np.uint64))
+    counts = []
+    for spec in specs:
+        cells = list(zip(spec.n_si.ravel().tolist(), spec.pi.ravel().tolist()))
+        rows = [[gen.binomial(size, p) for size, p in cells] for gen in itertools.islice(generators, reps)]
+        counts.append(np.array(rows, dtype=np.int64).reshape(reps, spec.s, 2))
     return counts
 
 
@@ -347,10 +321,11 @@ def _log_ratio(numerator: float, denominator: float) -> float:
 
 
 def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
-    """Run the scenario and aggregate every table in one pass."""
+    """Run the scenario and aggregate every table in one pass.  ``threads``
+    is accepted and ignored: the draws run in one thread, in stream order."""
     shares = _scenario_shares(cfg)
     specs = [cfg.spec_for(n) for n in cfg.n_grid]
-    all_counts = _draw_counts(cfg, specs, threads)
+    all_counts = _draw_counts(cfg, specs)
     mar_compatible = specs[0].is_mar
     rows = []
     fan = []

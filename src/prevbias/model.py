@@ -43,13 +43,34 @@ SHARE_SUM_TOL = 1e-12
 _INT_ABS_TOL = 1e-6
 
 
-def _coerce_matrix(values, name):
-    """Convert a (S, 2) matrix of numbers into floats plus, where the caller
-    supplied strings / Fractions / ints, an exact rational representation.
+def _coerce_cell(cell, where: str) -> tuple[float, Fraction | None]:
+    """One number as a float plus, where the caller supplied a string, a
+    Fraction or an int, its exact rational value.
 
     Decimal strings are the lossless path: ``"0.05"`` stays 1/20 exactly, so
     integer subpopulation-size checks do not inherit binary-float drift.
     """
+    if isinstance(cell, Fraction):
+        frac = cell
+    elif isinstance(cell, str):
+        try:
+            frac = Fraction(cell)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidSpec(f"{where} is not a number: {cell!r}") from exc
+    elif isinstance(cell, (int, np.integer)):
+        frac = Fraction(int(cell))
+    elif isinstance(cell, (float, np.floating)):
+        if not math.isfinite(cell):
+            raise InvalidSpec(f"{where} is not a finite number: {cell!r}")
+        return float(cell), None
+    else:
+        raise InvalidSpec(f"{where} has unsupported type {type(cell).__name__}")
+    return float(frac), frac
+
+
+def _coerce_matrix(values, name):
+    """Convert a (S, 2) matrix of numbers into floats plus the exact values
+    of :func:`_coerce_cell` (None for float cells)."""
     rows = list(values)
     if not rows:
         raise InvalidSpec(f"{name} must have at least one symptom class")
@@ -61,23 +82,24 @@ def _coerce_matrix(values, name):
             raise InvalidSpec(f"{name}[{s}] must have exactly two entries (healthy, infected)")
         exact_row: list[Fraction | None] = []
         for i, cell in enumerate(cells):
-            if isinstance(cell, Fraction):
-                frac = cell
-            elif isinstance(cell, str):
-                try:
-                    frac = Fraction(cell)
-                except ValueError as exc:
-                    raise InvalidSpec(f"{name}[{s},{i}] is not a number: {cell!r}") from exc
-            elif isinstance(cell, (int, np.integer)):
-                frac = Fraction(int(cell))
-            elif isinstance(cell, (float, np.floating)):
-                frac = None
-            else:
-                raise InvalidSpec(f"{name}[{s},{i}] has unsupported type {type(cell).__name__}")
-            floats[s, i] = float(cell) if frac is None else float(frac)
+            floats[s, i], frac = _coerce_cell(cell, f"{name}[{s},{i}]")
             exact_row.append(frac)
         exact.append(exact_row)
     return floats, exact
+
+
+def _coerce_vector(values, name) -> np.ndarray:
+    """A read-only float vector of one or more numbers, each parsed by
+    :func:`_coerce_cell`."""
+    try:
+        cells = [] if isinstance(values, (str, dict)) else list(values)
+    except TypeError:
+        cells = []
+    if not cells:
+        raise InvalidSpec(f"{name} must be a non-empty vector")
+    floats = np.array([_coerce_cell(cell, f"{name}[{s}]")[0] for s, cell in enumerate(cells)])
+    floats.setflags(write=False)
+    return floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,24 +247,19 @@ class Mechanism:
         if self.kind == MAR:
             if self.rho_s is None:
                 raise InvalidSpec("mar mechanism requires known class shares rho_s")
-            shares = np.asarray(self.rho_s, dtype=float)
-            if shares.ndim != 1 or shares.size == 0:
-                raise InvalidSpec("rho_s must be a non-empty vector")
+            shares = _coerce_vector(self.rho_s, "rho_s")
             if np.any((shares < 0.0) | (shares > 1.0)):
                 raise InvalidSpec("rho_s entries must lie in [0, 1]")
             if abs(float(shares.sum()) - 1.0) > SHARE_SUM_TOL:
                 raise InvalidSpec(f"rho_s must sum to 1 within {SHARE_SUM_TOL}")
-            shares.setflags(write=False)
             object.__setattr__(self, "rho_s", shares)
         if self.kind == MAXENT and self.lower is not None:
-            lower = np.asarray(self.lower, dtype=float)
-            upper = np.asarray(self.upper, dtype=float)
-            if lower.shape != upper.shape or lower.ndim != 1:
+            lower = _coerce_vector(self.lower, "maxent lower bounds")
+            upper = _coerce_vector(self.upper, "maxent upper bounds")
+            if lower.shape != upper.shape:
                 raise InvalidSpec("maxent bounds must be two equal-length vectors")
             if np.any(lower < 0.0) or np.any(upper > 1.0) or np.any(lower > upper):
                 raise InvalidSpec("maxent bounds must satisfy 0 <= lower_s <= upper_s <= 1")
-            lower.setflags(write=False)
-            upper.setflags(write=False)
             object.__setattr__(self, "lower", lower)
             object.__setattr__(self, "upper", upper)
 

@@ -5,9 +5,10 @@ tested count of each subpopulation is binomial: ``N_Tsi ~ Bin(N_si, pi_si)``,
 independently across cells.  Draws are made per cell rather than per
 individual; the two are the same distribution and the cell-level draw is
 O(S) instead of O(N).  The batched study engine draws the same cells from
-the same streams: on a shared 2-core x86 host it ran 33,000-44,000
-replicates per second at N = 10^6 with one thread, so half a million take
-about 15 s, and building each replicate's generator is most of that time.
+the same streams, positioning one reused generator on each replicate's
+stream: on a shared 2-core x86 host it ran 60,000-76,000 replicates per
+second at N = 10^6, so half a million take about 7-8 s, and the scalar
+binomial calls and the generator state setter are most of that time.
 """
 
 from __future__ import annotations

@@ -188,6 +188,73 @@ class TestRun:
         assert set(rows[0]) >= {"n", "i_plus_t", "i_plus_c", "i_plus"}
 
 
+class TestFractionShares:
+    """Mechanism shares and maxent bounds parse as population shares do:
+    fraction strings work, and text that is not a number exits 2."""
+
+    def _estimate(self, capsys, doc, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(doc))
+        code = main(["estimate", "--input", str(path)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "fraction, decimal",
+        [
+            ({"type": "mar", "rho_s": ["4/5", "1/5"]}, {"type": "mar", "rho_s": ["0.8", "0.2"]}),
+            (
+                {"type": "maxent", "lower": ["7/10", "1/10"], "upper": ["9/10", "3/10"]},
+                {"type": "maxent", "lower": [0.7, 0.1], "upper": [0.9, 0.3]},
+            ),
+        ],
+    )
+    def test_estimate_takes_fraction_strings(self, capsys, tmp_path, fraction, decimal):
+        code, fraction_out = self._estimate(capsys, dict(MAR_INPUT, mechanism=fraction), tmp_path)
+        assert code == 0, fraction_out.err
+        code, decimal_out = self._estimate(capsys, dict(MAR_INPUT, mechanism=decimal), tmp_path)
+        assert code == 0, decimal_out.err
+        assert fraction_out.out == decimal_out.out
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            {"type": "mar", "rho_s": ["4/5", "one fifth"]},
+            {"type": "mar", "rho_s": ["1/0", "1"]},
+            {"type": "mar", "rho_s": "0.8,0.2"},
+            {"type": "mar", "rho_s": [float("nan"), 0.2]},
+            {"type": "maxent", "lower": [float("nan"), 0.1], "upper": [0.9, 0.3]},
+            {"type": "maxent", "lower": ["7/10", "1/10"], "upper": ["9/10", "3/ten"]},
+        ],
+    )
+    def test_estimate_rejects_shares_that_are_not_numbers(self, capsys, tmp_path, mechanism):
+        code, out = self._estimate(capsys, dict(MAR_INPUT, mechanism=mechanism), tmp_path)
+        assert code == 2
+        assert out.err.startswith("error: ")
+
+    def test_run_takes_fraction_strings(self, tmp_path):
+        fraction = small_config(tmp_path, mechanism={"type": "mar", "rho_s": ["4/5", "1/5"]})
+        outs = tmp_path / "fraction", tmp_path / "decimal"
+        assert main(["run", "--config", str(fraction), "--out-dir", str(outs[0])]) == 0
+        assert main(["run", "--config", str(small_config(tmp_path)), "--out-dir", str(outs[1])]) == 0
+        for suffix in ("activeinfo", "rmse", "coverage", "cifan"):
+            name = f"mar_{suffix}.csv"
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            {"type": "mar", "rho_s": ["4/5", "x"]},
+            {"type": "maxent", "lower": ["0.7", "1/10"], "upper": ["0.9", "0.3.1"]},
+        ],
+    )
+    def test_run_rejects_shares_that_are_not_numbers(self, tmp_path, mechanism):
+        config = small_config(tmp_path, mechanism=mechanism)
+        proc = run_cli(["run", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert proc.returncode == 2, proc.stderr
+        assert "is not a number" in proc.stderr
+        assert "internal error" not in proc.stderr
+
+
 class TestBundledConfigs:
     @pytest.mark.parametrize("name", ["mcar", "mar", "mnar", "coverage1", "coverage2"])
     def test_configs_parse_and_match_presets(self, name):
