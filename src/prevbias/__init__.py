@@ -33,7 +33,6 @@ from .errors import (
     MechanismMismatch,
     NegativeVarianceCombination,
     PrevBiasError,
-    RejectionStarvation,
     TooLarge,
     UndefinedActiveInfo,
     ZeroTestingMass,
@@ -55,10 +54,9 @@ from .experiments import (
     FanRecord,
     ReportRow,
     ScenarioConfig,
-    run_coverage_table,
     run_experiment,
 )
-from .maxent import ShareEstimate, SimplexSlab, covid_shares, expected_shares, mean_shares
+from .maxent import SimplexSlab, covid_shares, mean_shares
 from .model import (
     AsymptoticQuantities,
     Mechanism,

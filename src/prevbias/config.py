@@ -15,10 +15,16 @@ A scenario document looks like::
       "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]}
     }
 
-Shares are decimal or fraction strings (``"0.8"``, ``"4/5"``) so that the
-integer subpopulation-size checks are exact at every grid size; plain numbers
-are accepted but are interpreted through their decimal literal.  The
-mechanism's ``rho_s`` and maxent ``lower``/``upper`` take the same forms.
+Every number follows one rule.  It may be a JSON number or a decimal or
+fraction string (``0.8``, ``"0.8"``, ``"4/5"``); a JSON number is read by
+its shortest decimal, so ``0.05`` is exactly 1/20 and the integer
+subpopulation-size checks are exact at every grid size.  That holds for
+``rho``, ``pi`` (fraction strings included), ``alpha``, the mechanism's
+``rho_s`` and the maxent ``lower``/``upper``.  ``n_grid``, ``replicates``,
+``seed``, ``N`` and ``counts`` must be whole numbers (``1000``, ``1e3`` and
+``"1000"`` agree; ``1000.5`` is refused), and ``seed`` lies in
+``[0, 2**64)``.  ``label`` names the report files and must be a plain
+file-name stem: no ``/`` or ``\\``, and not ``.`` or ``..``.
 
 A count-table document for one-shot estimation looks like::
 
@@ -38,23 +44,21 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .errors import InvalidSpec
 from .experiments import ScenarioConfig
-from .model import Mechanism
+from .model import Mechanism, _coerce_cell, _coerce_whole, _pairs
 from .sampler import TestingOutcome
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{where} must be a JSON object")
     if key not in doc:
         raise InvalidSpec(f"{where} is missing required key {key!r}")
     return doc[key]
 
 
 def parse_mechanism(doc) -> Mechanism:
-    if not isinstance(doc, dict):
-        raise InvalidSpec("mechanism must be an object with a 'type' key")
     kind = _require(doc, "type", "mechanism")
     if kind == "mcar":
         return Mechanism.mcar()
@@ -66,19 +70,15 @@ def parse_mechanism(doc) -> Mechanism:
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise InvalidSpec("scenario config must be a JSON object")
     population = _require(doc, "population", "config")
-    rho = _require(population, "rho", "population")
-    pi = _require(population, "pi", "population")
     return ScenarioConfig(
-        rho=tuple(tuple(str(cell) for cell in row) for row in rho),
-        pi=np.asarray(pi, dtype=float),
+        rho=_require(population, "rho", "population"),
+        pi=_require(population, "pi", "population"),
         mechanism=parse_mechanism(_require(doc, "mechanism", "config")),
-        n_grid=tuple(int(n) for n in _require(doc, "n_grid", "config")),
-        replicates=int(_require(doc, "replicates", "config")),
-        alpha=float(_require(doc, "alpha", "config")),
-        seed=int(_require(doc, "seed", "config")),
+        n_grid=_require(doc, "n_grid", "config"),
+        replicates=_require(doc, "replicates", "config"),
+        alpha=_require(doc, "alpha", "config"),
+        seed=_require(doc, "seed", "config"),
         label=str(_require(doc, "label", "config")),
     )
 
@@ -100,15 +100,12 @@ def parse_count_table(doc: dict):
 
     Returns ``(outcome, mechanism, alpha)``.
     """
-    if not isinstance(doc, dict):
-        raise InvalidSpec("count table must be a JSON object")
-    n = int(_require(doc, "N", "count table"))
-    counts = np.asarray(_require(doc, "counts", "count table"), dtype=np.int64)
+    n = _coerce_whole(_require(doc, "N", "count table"), "N", low=1)
+    rows = _pairs(_require(doc, "counts", "count table"), "counts")
+    counts = [[_coerce_whole(c, f"counts[{s},{i}]") for i, c in enumerate(row)] for s, row in enumerate(rows)]
     outcome = TestingOutcome(counts=counts, n=n)
     mechanism = parse_mechanism(_require(doc, "mechanism", "count table"))
-    if mechanism.kind == "mar" and mechanism.rho_s.shape != (outcome.s,):
-        raise InvalidSpec("mechanism rho_s length does not match the count-table classes")
-    alpha = float(doc.get("alpha", 0.05))
+    alpha = float(_coerce_cell(doc.get("alpha", 0.05), "alpha"))
     if not 0.0 < alpha <= 1.0:
         raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
     return outcome, mechanism, alpha

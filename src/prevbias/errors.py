@@ -46,10 +46,6 @@ class EmptyRegion(PrevBiasError):
     """The constrained share region contains no share vector."""
 
 
-class RejectionStarvation(PrevBiasError):
-    """Rejection sampling accepts too small a fraction of proposals to be usable."""
-
-
 class BoundaryEstimate(PrevBiasError):
     """A prevalence estimate of exactly 0 or 1 has no logit confidence interval."""
 

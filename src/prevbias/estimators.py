@@ -203,11 +203,11 @@ def build_bundle(outcome: TestingOutcome, mechanism: Mechanism) -> EstimateBundl
         rho_hat = np.asarray(mechanism.rho_s, dtype=float)
         p0_h = p0_hat_mar(outcome, rho_hat)
     elif mechanism.kind == MAXENT:
-        if mechanism.lower is None:
+        if mechanism.slab is None:
             rho_hat = covid_shares(outcome.n, outcome.n_t, int(outcome.n_ts[1]))
             p0_h = p0_hat_maxent(outcome)
         else:
-            rho_hat = mean_shares(SimplexSlab(mechanism.lower, mechanism.upper))
+            rho_hat = mean_shares(mechanism.slab)
             p0_h = share_weighted_p0(outcome, rho_hat)
     else:  # pragma: no cover - Mechanism constructor forbids other kinds
         raise InvalidSpec(f"unknown mechanism kind {mechanism.kind!r}")

@@ -27,15 +27,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .asymptotics import _expit, normal_quantile
-from .errors import InvalidSpec, MechanismMismatch
-from .maxent import SimplexSlab, mean_shares
-from .model import MAR, MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
+from .errors import InvalidSpec
+from .maxent import mean_shares
+from .model import (
+    MAR,
+    MAXENT,
+    MCAR,
+    Mechanism,
+    PopulationSpec,
+    _cells,
+    _coerce_cell,
+    _coerce_matrix,
+    _coerce_whole,
+    population_prevalence,
+)
 from .rng import stream_generators
 
 # interval endpoints are clamped strictly inside (0, 1), as in ci_logit_prevalence
@@ -43,27 +54,16 @@ _ABOVE_ZERO = math.nextafter(0.0, 1.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _exact_fraction(value, where: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError as exc:
-            raise InvalidSpec(f"{where} is not a number: {value!r}") from exc
-    if isinstance(value, (int, np.integer)):
-        return Fraction(int(value))
-    if isinstance(value, (float, np.floating)):
-        # repr() is the shortest round-tripping decimal, i.e. what the author
-        # wrote for literals like 0.05; deliberately non-representable values
-        # (e.g. 1/3) still fail the integer-size checks downstream.
-        return Fraction(repr(float(value)))
-    raise InvalidSpec(f"{where} has unsupported type {type(value).__name__}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Everything needed to reproduce one Monte Carlo experiment."""
+    """Everything needed to reproduce one Monte Carlo experiment.
+
+    Numbers are read as :class:`PopulationSpec` reads them: ``rho`` becomes
+    exact Fractions, ``pi`` a read-only float array, and ``n_grid``,
+    ``replicates`` and ``seed`` whole numbers.  ``specs`` holds the
+    population at each grid size.  ``label`` names the report files, so it
+    must be a plain file-name stem.
+    """
 
     rho: tuple[tuple[Fraction, Fraction], ...]
     pi: np.ndarray
@@ -73,62 +73,32 @@ class ScenarioConfig:
     alpha: float
     seed: int
     label: str
+    specs: tuple[PopulationSpec, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho_rows = []
-        for s, row in enumerate(self.rho):
-            cells = tuple(_exact_fraction(cell, f"rho[{s},{i}]") for i, cell in enumerate(row))
-            if len(cells) != 2:
-                raise InvalidSpec(f"rho[{s}] must have exactly two entries")
-            rho_rows.append(cells)
-        rho_exact = tuple(rho_rows)
-        total = sum(cell for row in rho_exact for cell in row)
-        if total != 1:
-            raise InvalidSpec(f"shares must sum to 1 exactly, got {total}")
-        object.__setattr__(self, "rho", rho_exact)
-
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (len(rho_exact), 2):
-            raise InvalidSpec(f"pi must have shape ({len(rho_exact)}, 2), got {pi.shape}")
-        if np.any((pi < 0.0) | (pi > 1.0)):
-            raise InvalidSpec("testing probabilities must lie in [0, 1]")
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
-
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid:
-            raise InvalidSpec("n_grid must not be empty")
-        if any(n < 1 for n in grid):
-            raise InvalidSpec("population sizes must be positive")
-        object.__setattr__(self, "n_grid", grid)
-        for n in grid:
-            for s, row in enumerate(rho_exact):
-                for i, cell in enumerate(row):
-                    if (cell * n).denominator != 1:
-                        raise InvalidSpec(
-                            f"stratum (s={s}, i={i}): N*rho = {n}*{cell} is not an integer"
-                        )
-
-        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
-            raise InvalidSpec("replicates must be a positive integer")
-        object.__setattr__(self, "replicates", int(self.replicates))
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidSpec(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
-            raise InvalidSpec("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not self.label or not isinstance(self.label, str):
-            raise InvalidSpec("label must be a non-empty string")
-
-        self.mechanism.check_against(self.spec_for(grid[0]))
-
-    def spec_for(self, n: int) -> PopulationSpec:
-        """Materialise the population at one grid size (exact share path)."""
-        return PopulationSpec(n=n, rho=self.rho, pi=self.pi)
-
-    @property
-    def rho_s(self) -> np.ndarray:
-        return np.array([float(row[0] + row[1]) for row in self.rho])
+        rho = _coerce_matrix(self.rho, "rho")
+        cells = _cells(self.n_grid, "n_grid")
+        grid = tuple(_coerce_whole(n, f"n_grid[{k}]", low=1) for k, n in enumerate(cells))
+        specs = tuple(PopulationSpec(n=n, rho=rho, pi=self.pi) for n in grid)
+        alpha = float(_coerce_cell(self.alpha, "alpha"))
+        if not 0.0 < alpha <= 1.0:
+            raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
+        label = self.label
+        if not isinstance(label, str) or label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+            raise InvalidSpec(f"label must be a plain file-name stem, got {label!r}")
+        if self.mechanism.kind == MAXENT and self.mechanism.slab is None:
+            raise InvalidSpec("scenario maxent mechanisms need explicit share bounds")
+        self.mechanism.check_against(specs[0])
+        for name, value in (
+            ("rho", rho),
+            ("pi", specs[0].pi),
+            ("n_grid", grid),
+            ("replicates", _coerce_whole(self.replicates, "replicates", low=1)),
+            ("alpha", alpha),
+            ("seed", _coerce_whole(self.seed, "seed", high=2**64 - 1)),
+            ("specs", specs),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -182,9 +152,7 @@ def _scenario_shares(cfg: ScenarioConfig) -> np.ndarray | None:
     if mech.kind == MAR:
         return np.asarray(mech.rho_s, dtype=float)
     if mech.kind == MAXENT:
-        if mech.lower is None:
-            raise InvalidSpec("scenario maxent mechanisms need explicit share bounds")
-        return mean_shares(SimplexSlab(mech.lower, mech.upper))
+        return mean_shares(mech.slab)
     return None  # mcar reweights by the observed sample fractions
 
 
@@ -207,16 +175,16 @@ class ReplicateColumns:
     it_defined: np.ndarray
 
 
-def _draw_counts(cfg: ScenarioConfig, specs: list[PopulationSpec]) -> list[np.ndarray]:
+def _draw_counts(cfg: ScenarioConfig) -> list[np.ndarray]:
     """One ``(replicates, S, 2)`` counts array per grid position, replicate
     ``r`` at position ``k`` from stream ``(seed, k * replicates + r)``.  One
     scalar binomial call per cell in C order draws what
     :func:`prevbias.sampler.draw_outcome`'s array call draws from the same
     stream, and costs less for a handful of cells."""
     reps = cfg.replicates
-    generators = stream_generators(cfg.seed, np.arange(len(specs) * reps, dtype=np.uint64))
+    generators = stream_generators(cfg.seed, np.arange(len(cfg.specs) * reps, dtype=np.uint64))
     counts = []
-    for spec in specs:
+    for spec in cfg.specs:
         cells = list(zip(spec.n_si.ravel().tolist(), spec.pi.ravel().tolist()))
         rows = [[gen.binomial(size, p) for size, p in cells] for gen in itertools.islice(generators, reps)]
         counts.append(np.array(rows, dtype=np.int64).reshape(reps, spec.s, 2))
@@ -324,12 +292,10 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
     """Run the scenario and aggregate every table in one pass.  ``threads``
     is accepted and ignored: the draws run in one thread, in stream order."""
     shares = _scenario_shares(cfg)
-    specs = [cfg.spec_for(n) for n in cfg.n_grid]
-    all_counts = _draw_counts(cfg, specs)
-    mar_compatible = specs[0].is_mar
+    mar_compatible = cfg.specs[0].is_mar
     rows = []
     fan = []
-    for n, spec, counts in zip(cfg.n_grid, specs, all_counts):
+    for n, spec, counts in zip(cfg.n_grid, cfg.specs, _draw_counts(cfg)):
         p0_true = population_prevalence(spec)
         cols = replicate_columns(counts, spec.n_si, cfg.mechanism, shares, p0_true, cfg.alpha)
         kept = int(cols.ok.sum())
@@ -388,9 +354,3 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
         fan=tuple(fan),
     )
 
-
-def run_coverage_table(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
-    """Empirical interval coverage; defined for known-share (mar) scenarios."""
-    if cfg.mechanism.kind != MAR:
-        raise MechanismMismatch("coverage tables are defined for mar scenarios")
-    return run_experiment(cfg, threads)

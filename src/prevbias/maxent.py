@@ -3,9 +3,7 @@
 When the class shares are only known to satisfy ``lower_s <= rho_s <=
 upper_s``, the share vector is modelled as uniformly distributed on the
 feasible region (the simplex cut by those box bounds), and the corrected
-estimator uses its mean.  :func:`mean_shares` computes it exactly; the
-rejection sampler :func:`expected_shares` estimates it with no assumptions
-about the region's geometry and serves as the independent check.
+estimator uses its mean, which :func:`mean_shares` computes exactly.
 
 For the two-class convenience-sampling model, where a symptomatic individual
 is at least as likely to be tested as an asymptomatic one, the data imply
@@ -21,13 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyRegion, InvalidSpec, RejectionStarvation, TooLarge
-from .rng import as_generator
+from .errors import EmptyRegion, InvalidSpec, TooLarge
 
 _SUM_TOL = 1e-12
-MIN_ACCEPTANCE = 1e-6
-_PROBE_PROPOSALS = 2_000_000
-_MAX_PROPOSALS = 50_000_000
 # mean_shares sums up to 2^k big-integer terms for k free classes; its slowest
 # bounds took 0.7 s at k = 13 and 1.6 s at k = 14 on a 2-core x86 host.
 MAX_FREE_CLASSES = 13
@@ -113,80 +107,6 @@ def mean_shares(slab: SimplexSlab) -> np.ndarray:
         inside = sum(wt for wt, (_, mask) in zip(weights, terms) if mask >> j & 1)
         mean[s] += (upper[s] - lower[s]) * Fraction(inside, total) + shift
     return np.array([float(x) for x in mean])
-
-
-@dataclass(frozen=True, eq=False)
-class ShareEstimate:
-    """Monte Carlo estimate of the mean shares with per-class standard errors."""
-
-    estimate: np.ndarray
-    stderr: np.ndarray
-    n_samples: int
-    acceptance_rate: float
-
-
-def expected_shares(slab: SimplexSlab, rng=None, n_samples: int = 4096) -> ShareEstimate:
-    """Mean of the uniform distribution on the feasible share region.
-
-    Proposes uniform points on the simplex and keeps those inside the box
-    bounds until ``n_samples`` draws are accepted; the accepted points are
-    exactly uniform on the region.  A degenerate (single-point) region is
-    returned exactly, with zero standard errors and no randomness consumed.
-
-    Raises
-    ------
-    RejectionStarvation
-        If the acceptance rate stays below ``1e-6``, i.e. the region is too
-        thin a sliver of the simplex for rejection sampling to be practical.
-    """
-    if slab.is_degenerate:
-        zeros = np.zeros(slab.s)
-        return ShareEstimate(
-            estimate=slab.lower.copy(), stderr=zeros, n_samples=0, acceptance_rate=1.0
-        )
-    if rng is None:
-        raise InvalidSpec("a non-degenerate region needs an RngStream for integration")
-    if n_samples < 1:
-        raise InvalidSpec("n_samples must be at least 1")
-
-    gen = as_generator(rng)
-    alpha = np.ones(slab.s)
-    accepted: list[np.ndarray] = []
-    n_accepted = 0
-    proposals = 0
-    batch = max(8192, int(n_samples))
-    while n_accepted < n_samples:
-        draws = gen.dirichlet(alpha, size=batch)
-        keep = np.all((draws >= slab.lower) & (draws <= slab.upper), axis=1)
-        kept = draws[keep]
-        if kept.shape[0]:
-            accepted.append(kept)
-            n_accepted += kept.shape[0]
-        proposals += batch
-        rate = n_accepted / proposals
-        if proposals >= _PROBE_PROPOSALS and rate < MIN_ACCEPTANCE:
-            raise RejectionStarvation(
-                f"acceptance rate {rate:.2e} below {MIN_ACCEPTANCE:.0e} "
-                f"after {proposals} proposals"
-            )
-        if proposals >= _MAX_PROPOSALS:
-            raise RejectionStarvation(
-                f"gave up after {proposals} proposals with acceptance rate {rate:.2e}"
-            )
-
-    samples = np.concatenate(accepted, axis=0)[:n_samples]
-    estimate = samples.mean(axis=0)
-    estimate = estimate / estimate.sum()
-    if n_samples > 1:
-        stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    else:
-        stderr = np.full(slab.s, np.nan)
-    return ShareEstimate(
-        estimate=estimate,
-        stderr=stderr,
-        n_samples=int(n_samples),
-        acceptance_rate=n_accepted / proposals,
-    )
 
 
 def _check_covid_counts(n: int, n_t: int, n_t1: int) -> None:

@@ -27,6 +27,7 @@ estimators computed from realised counts live in :mod:`prevbias.estimators`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,66 +39,89 @@ from .errors import (
     UndefinedActiveInfo,
     ZeroTestingMass,
 )
+from .maxent import SimplexSlab, mean_shares
 
 SHARE_SUM_TOL = 1e-12
-_INT_ABS_TOL = 1e-6
+_INT64_MAX = 2**63 - 1
+# A decimal exponent of 1000 or more is no share, probability or size, and
+# Fraction("1e10000000") alone takes seconds to build 10**10000000.
+_HUGE_EXPONENT = re.compile(r"e[-+]?[0_]*[1-9](_?\d){3}", re.IGNORECASE)
 
 
-def _coerce_cell(cell, where: str) -> tuple[float, Fraction | None]:
-    """One number as a float plus, where the caller supplied a string, a
-    Fraction or an int, its exact rational value.
+def _coerce_cell(cell, where: str) -> Fraction:
+    """One number as an exact Fraction: the parser behind every share,
+    probability and size that :class:`PopulationSpec`, :class:`Mechanism`,
+    the scenario config and the JSON inputs read.
 
-    Decimal strings are the lossless path: ``"0.05"`` stays 1/20 exactly, so
-    integer subpopulation-size checks do not inherit binary-float drift.
+    Decimal and fraction strings (``"0.05"``, ``"1/20"``), ints and Fractions
+    are exact as given.  A float is read by its shortest round-tripping
+    decimal (``repr``), so the literal ``0.05`` is 1/20 and not its binary
+    neighbour, and ``float()`` of the result gives the float back.  Bools,
+    NaN, infinities and text that is not a number are rejected.
     """
-    if isinstance(cell, Fraction):
-        frac = cell
-    elif isinstance(cell, str):
-        try:
-            frac = Fraction(cell)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSpec(f"{where} is not a number: {cell!r}") from exc
-    elif isinstance(cell, (int, np.integer)):
-        frac = Fraction(int(cell))
-    elif isinstance(cell, (float, np.floating)):
+    if isinstance(cell, bool):
+        raise InvalidSpec(f"{where} is not a number: {cell!r}")
+    if isinstance(cell, (int, np.integer)):
+        return Fraction(int(cell))
+    if isinstance(cell, (float, np.floating)):
         if not math.isfinite(cell):
             raise InvalidSpec(f"{where} is not a finite number: {cell!r}")
-        return float(cell), None
-    else:
-        raise InvalidSpec(f"{where} has unsupported type {type(cell).__name__}")
-    return float(frac), frac
+        cell = repr(float(cell))
+    if isinstance(cell, str):
+        if _HUGE_EXPONENT.search(cell):
+            raise InvalidSpec(f"{where} is out of range: {cell!r}")
+        try:
+            return Fraction(cell)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidSpec(f"{where} is not a number: {cell!r}") from exc
+    if isinstance(cell, Fraction):
+        return cell
+    raise InvalidSpec(f"{where} has unsupported type {type(cell).__name__}")
 
 
-def _coerce_matrix(values, name):
-    """Convert a (S, 2) matrix of numbers into floats plus the exact values
-    of :func:`_coerce_cell` (None for float cells)."""
-    rows = list(values)
-    if not rows:
-        raise InvalidSpec(f"{name} must have at least one symptom class")
-    floats = np.zeros((len(rows), 2), dtype=float)
-    exact: list[list[Fraction | None]] = []
-    for s, row in enumerate(rows):
-        cells = list(row)
-        if len(cells) != 2:
-            raise InvalidSpec(f"{name}[{s}] must have exactly two entries (healthy, infected)")
-        exact_row: list[Fraction | None] = []
-        for i, cell in enumerate(cells):
-            floats[s, i], frac = _coerce_cell(cell, f"{name}[{s},{i}]")
-            exact_row.append(frac)
-        exact.append(exact_row)
-    return floats, exact
+def _coerce_whole(value, where: str, low: int = 0, high: int = _INT64_MAX) -> int:
+    """One whole number in ``[low, high]``, read by :func:`_coerce_cell`:
+    ``1000``, ``1000.0`` and ``"1e3"`` agree, and ``1000.5`` is refused."""
+    number = _coerce_cell(value, where)
+    if number.denominator != 1 or not low <= number.numerator <= high:
+        raise InvalidSpec(f"{where} must be a whole number from {low} to {high}, got {value}")
+    return int(number)
 
 
-def _coerce_vector(values, name) -> np.ndarray:
-    """A read-only float vector of one or more numbers, each parsed by
-    :func:`_coerce_cell`."""
+def _cells(values, name: str) -> list:
+    """The entries of a non-empty list; a string, a mapping or a scalar is not one."""
     try:
         cells = [] if isinstance(values, (str, dict)) else list(values)
     except TypeError:
         cells = []
     if not cells:
-        raise InvalidSpec(f"{name} must be a non-empty vector")
-    floats = np.array([_coerce_cell(cell, f"{name}[{s}]")[0] for s, cell in enumerate(cells)])
+        raise InvalidSpec(f"{name} must be a non-empty list")
+    return cells
+
+
+def _pairs(values, name: str) -> list[list]:
+    """The rows of a (S, 2) matrix, one (healthy, infected) pair per symptom
+    class, with their entries not yet read."""
+    rows = [_cells(row, f"{name}[{s}]") for s, row in enumerate(_cells(values, name))]
+    for s, row in enumerate(rows):
+        if len(row) != 2:
+            raise InvalidSpec(f"{name}[{s}] must have exactly two entries (healthy, infected)")
+    return rows
+
+
+def _coerce_matrix(values, name: str) -> tuple[tuple[Fraction, Fraction], ...]:
+    """A (S, 2) matrix of numbers as exact values of :func:`_coerce_cell`."""
+    return tuple(
+        tuple(_coerce_cell(cell, f"{name}[{s},{i}]") for i, cell in enumerate(row))
+        for s, row in enumerate(_pairs(values, name))
+    )
+
+
+def _coerce_vector(values, name: str) -> np.ndarray:
+    """A read-only float vector of one or more numbers, each parsed by
+    :func:`_coerce_cell`."""
+    cells = _cells(values, name)
+    floats = np.array([float(_coerce_cell(cell, f"{name}[{s}]")) for s, cell in enumerate(cells)])
     floats.setflags(write=False)
     return floats
 
@@ -106,15 +130,16 @@ def _coerce_vector(values, name) -> np.ndarray:
 class PopulationSpec:
     """Exact stratified population: size, shares, and testing probabilities.
 
+    Every entry is read by :func:`_coerce_cell`, so shares are exact.
+
     Parameters
     ----------
     n : int
-        Population size.
+        Population size, a whole number.
     rho : array-like, shape (S, 2)
-        Subpopulation shares ``rho[s, i]``.  Entries may be floats, decimal
-        strings, or :class:`fractions.Fraction`; the latter two are validated
-        exactly.  Shares must sum to one and every ``n * rho[s, i]`` must be a
-        whole number (the model is an exact finite population, not a density).
+        Subpopulation shares ``rho[s, i]``.  Shares must sum to one exactly
+        and every ``n * rho[s, i]`` must be a whole number (the model is an
+        exact finite population, not a density).
     pi : array-like, shape (S, 2)
         Testing probabilities ``pi[s, i]`` in ``[0, 1]``.
     """
@@ -124,56 +149,31 @@ class PopulationSpec:
     pi: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
-            raise InvalidSpec(f"population size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-
-        rho_f, rho_exact = _coerce_matrix(self.rho, "rho")
-        pi_f, _ = _coerce_matrix(self.pi, "pi")
+        n = _coerce_whole(self.n, "population size", low=1)
+        rho = _coerce_matrix(self.rho, "rho")
+        rho_f = np.array(rho, dtype=float)
+        pi_f = np.array(_coerce_matrix(self.pi, "pi"), dtype=float)
         if pi_f.shape != rho_f.shape:
             raise InvalidSpec(f"pi shape {pi_f.shape} does not match rho shape {rho_f.shape}")
-        if np.any((rho_f < 0.0) | (rho_f > 1.0)):
+        if any(not 0 <= share <= 1 for row in rho for share in row):
             raise InvalidSpec("all shares rho[s, i] must lie in [0, 1]")
         if np.any((pi_f < 0.0) | (pi_f > 1.0)):
             raise InvalidSpec("all testing probabilities pi[s, i] must lie in [0, 1]")
-
-        all_exact = all(f is not None for row in rho_exact for f in row)
-        if all_exact:
-            total = sum(f for row in rho_exact for f in row)
-            if total != 1:
-                raise InvalidSpec(f"shares must sum to 1 exactly, got {total}")
-        else:
-            total = float(rho_f.sum())
-            if abs(total - 1.0) > SHARE_SUM_TOL:
-                raise InvalidSpec(f"shares must sum to 1 within {SHARE_SUM_TOL}, got {total!r}")
-
-        n_si = np.zeros_like(rho_f, dtype=np.int64)
-        for s in range(rho_f.shape[0]):
-            for i in range(2):
-                frac = rho_exact[s][i]
-                if frac is not None:
-                    size = frac * self.n
-                    if size.denominator != 1:
-                        raise InvalidSpec(
-                            f"stratum (s={s}, i={i}): N*rho = {self.n}*{frac} = {size} is not an integer"
-                        )
-                    n_si[s, i] = int(size)
-                else:
-                    size_f = self.n * rho_f[s, i]
-                    size_r = round(size_f)
-                    if abs(size_f - size_r) > _INT_ABS_TOL:
-                        raise InvalidSpec(
-                            f"stratum (s={s}, i={i}): N*rho = {size_f!r} is not a whole number"
-                        )
-                    n_si[s, i] = int(size_r)
-        if int(n_si.sum()) != self.n:
-            raise InvalidSpec(
-                f"stratum sizes sum to {int(n_si.sum())} but the population size is {self.n}"
-            )
+        total = sum(share for row in rho for share in row)
+        if total != 1:
+            raise InvalidSpec(f"shares must sum to 1 exactly, got {total}")
+        for s, row in enumerate(rho):
+            for i, share in enumerate(row):
+                if (share * n).denominator != 1:
+                    raise InvalidSpec(
+                        f"stratum (s={s}, i={i}): N*rho = {n}*{share} = {share * n} is not an integer"
+                    )
+        n_si = np.array([[int(share * n) for share in row] for row in rho], dtype=np.int64)
 
         rho_f.setflags(write=False)
         pi_f.setflags(write=False)
         n_si.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rho", rho_f)
         object.__setattr__(self, "pi", pi_f)
         object.__setattr__(self, "_n_si", n_si)
@@ -232,14 +232,14 @@ class Mechanism:
     ``mcar``   assumes one common testing probability (no correction needed),
     ``mar``    assumes per-symptom probabilities with *known* class shares
     ``rho_s``, and ``maxent`` assumes per-symptom probabilities with the class
-    shares only known to lie in ``[lower_s, upper_s]`` (corrected through the
-    mean of the uniform distribution on the feasible share region).
+    shares only known to lie in the region ``slab`` (corrected through the
+    mean of the uniform distribution on it).  Build them with :meth:`mcar`,
+    :meth:`mar` and :meth:`maxent`.
     """
 
     kind: str
     rho_s: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    slab: SimplexSlab | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -253,15 +253,6 @@ class Mechanism:
             if abs(float(shares.sum()) - 1.0) > SHARE_SUM_TOL:
                 raise InvalidSpec(f"rho_s must sum to 1 within {SHARE_SUM_TOL}")
             object.__setattr__(self, "rho_s", shares)
-        if self.kind == MAXENT and self.lower is not None:
-            lower = _coerce_vector(self.lower, "maxent lower bounds")
-            upper = _coerce_vector(self.upper, "maxent upper bounds")
-            if lower.shape != upper.shape:
-                raise InvalidSpec("maxent bounds must be two equal-length vectors")
-            if np.any(lower < 0.0) or np.any(upper > 1.0) or np.any(lower > upper):
-                raise InvalidSpec("maxent bounds must satisfy 0 <= lower_s <= upper_s <= 1")
-            object.__setattr__(self, "lower", lower)
-            object.__setattr__(self, "upper", upper)
 
     @classmethod
     def mcar(cls) -> "Mechanism":
@@ -277,7 +268,12 @@ class Mechanism:
         observed counts (two-class convenience-sampling form)."""
         if (lower is None) != (upper is None):
             raise InvalidSpec("provide both maxent bounds or neither")
-        return cls(kind=MAXENT, lower=lower, upper=upper)
+        if lower is None:
+            return cls(kind=MAXENT)
+        slab = SimplexSlab(
+            _coerce_vector(lower, "maxent lower bounds"), _coerce_vector(upper, "maxent upper bounds")
+        )
+        return cls(kind=MAXENT, slab=slab)
 
     def check_against(self, spec: PopulationSpec) -> None:
         """Validate mechanism metadata against a concrete population."""
@@ -286,9 +282,8 @@ class Mechanism:
                 raise InvalidSpec(f"rho_s has {self.rho_s.size} classes, population has {spec.s}")
             if np.max(np.abs(self.rho_s - spec.rho_s)) > SHARE_SUM_TOL:
                 raise InvalidSpec("mar mechanism shares are inconsistent with the population shares")
-        elif self.kind == MAXENT and self.lower is not None:
-            if self.lower.shape != (spec.s,):
-                raise InvalidSpec(f"maxent bounds have {self.lower.size} classes, population has {spec.s}")
+        elif self.slab is not None and self.slab.s != spec.s:
+            raise InvalidSpec(f"maxent bounds have {self.slab.s} classes, population has {spec.s}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,18 +376,14 @@ def corrected_prevalence_limit(spec: PopulationSpec, weights=None) -> float:
     return float(total)
 
 
-def exact_quantities(
-    spec: PopulationSpec,
-    mech: Mechanism,
-    rho_bar=None,
-) -> AsymptoticQuantities:
+def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantities:
     """Evaluate the closed-form asymptotic quantities for a population.
 
     Requires per-symptom testing probabilities (``pi[s, i] = pi_s``).  The
     limiting share weights ``rho_bar`` are the true class shares under the
-    mcar/mar mechanisms; under maxent they must be supplied by the caller
-    (the mean shares over the feasible region, see
-    :func:`prevbias.maxent.mean_shares`).
+    mcar/mar mechanisms and, under maxent, the exact mean shares of the
+    mechanism's bounds (:func:`prevbias.maxent.mean_shares`); maxent without
+    explicit bounds has no population-level limit and is rejected.
 
     Returns
     -------
@@ -416,16 +407,13 @@ def exact_quantities(
     if np.any(pi_s <= 0.0):
         raise ZeroTestingMass("every symptom class must have positive testing probability")
 
-    if mech.kind == MAXENT:
-        if rho_bar is None:
-            raise InvalidSpec("maxent mechanism requires limiting expected shares rho_bar")
-        rb = np.asarray(rho_bar, dtype=float)
-        if rb.shape != (spec.s,):
-            raise InvalidSpec("rho_bar must have one entry per symptom class")
-    else:
-        if mech.kind == MAR:
-            mech.check_against(spec)
+    mech.check_against(spec)
+    if mech.kind != MAXENT:
         rb = np.array(rho_s, dtype=float, copy=True)
+    elif mech.slab is not None:
+        rb = mean_shares(mech.slab)
+    else:
+        raise InvalidSpec("maxent limiting shares need explicit share bounds")
 
     p0s = spec.p0s
     d = float(rho_s @ pi_s)

@@ -5,12 +5,14 @@ rational arithmetic (:mod:`fractions`), separately from the package's float
 implementations, so the unit tests compare two independent evaluation paths.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from prevbias import Mechanism, PopulationSpec
+from prevbias import InvalidSpec, Mechanism, PopulationSpec, PrevBiasError, SimplexSlab
+from prevbias.rng import as_generator
 
 # Base two-class population: shares rho[s][i] with s = symptom level,
 # i = infection status.  True prevalence 0.05 + 0.15 = 0.20.
@@ -180,6 +182,91 @@ MNAR_P = oracle_testing_prevalence(BASE_RHO_F, MNAR_PI_F)
 MNAR_CORRECTED_LIMIT = oracle_corrected_limit(BASE_RHO_F, MNAR_PI_F)
 assert MNAR_P == F(27, 64)
 assert MNAR_CORRECTED_LIMIT == F(776, 3410)
+
+
+# Rejection sampling of the uniform law on a share region: the Monte Carlo
+# oracle that maxent.mean_shares (c8, TestMeanShares) is checked against.
+MIN_ACCEPTANCE = 1e-6
+_PROBE_PROPOSALS = 2_000_000
+_MAX_PROPOSALS = 50_000_000
+
+
+class RejectionStarvation(PrevBiasError):
+    """Rejection sampling accepts too small a fraction of proposals to be usable."""
+
+
+@dataclass(frozen=True, eq=False)
+class ShareEstimate:
+    """Monte Carlo estimate of the mean shares with per-class standard errors."""
+
+    estimate: np.ndarray
+    stderr: np.ndarray
+    n_samples: int
+    acceptance_rate: float
+
+
+def expected_shares(slab: SimplexSlab, rng=None, n_samples: int = 4096) -> ShareEstimate:
+    """Mean of the uniform distribution on the feasible share region.
+
+    Proposes uniform points on the simplex and keeps those inside the box
+    bounds until ``n_samples`` draws are accepted; the accepted points are
+    exactly uniform on the region.  A degenerate (single-point) region is
+    returned exactly, with zero standard errors and no randomness consumed.
+
+    Raises
+    ------
+    RejectionStarvation
+        If the acceptance rate stays below ``1e-6``, i.e. the region is too
+        thin a sliver of the simplex for rejection sampling to be practical.
+    """
+    if slab.is_degenerate:
+        zeros = np.zeros(slab.s)
+        return ShareEstimate(
+            estimate=slab.lower.copy(), stderr=zeros, n_samples=0, acceptance_rate=1.0
+        )
+    if rng is None:
+        raise InvalidSpec("a non-degenerate region needs an RngStream for integration")
+    if n_samples < 1:
+        raise InvalidSpec("n_samples must be at least 1")
+
+    gen = as_generator(rng)
+    alpha = np.ones(slab.s)
+    accepted: list[np.ndarray] = []
+    n_accepted = 0
+    proposals = 0
+    batch = max(8192, int(n_samples))
+    while n_accepted < n_samples:
+        draws = gen.dirichlet(alpha, size=batch)
+        keep = np.all((draws >= slab.lower) & (draws <= slab.upper), axis=1)
+        kept = draws[keep]
+        if kept.shape[0]:
+            accepted.append(kept)
+            n_accepted += kept.shape[0]
+        proposals += batch
+        rate = n_accepted / proposals
+        if proposals >= _PROBE_PROPOSALS and rate < MIN_ACCEPTANCE:
+            raise RejectionStarvation(
+                f"acceptance rate {rate:.2e} below {MIN_ACCEPTANCE:.0e} "
+                f"after {proposals} proposals"
+            )
+        if proposals >= _MAX_PROPOSALS:
+            raise RejectionStarvation(
+                f"gave up after {proposals} proposals with acceptance rate {rate:.2e}"
+            )
+
+    samples = np.concatenate(accepted, axis=0)[:n_samples]
+    estimate = samples.mean(axis=0)
+    estimate = estimate / estimate.sum()
+    if n_samples > 1:
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    else:
+        stderr = np.full(slab.s, np.nan)
+    return ShareEstimate(
+        estimate=estimate,
+        stderr=stderr,
+        n_samples=int(n_samples),
+        acceptance_rate=n_accepted / proposals,
+    )
 
 
 def random_integer_spec(rng, n=None, s_count=None, pi_mode="free"):

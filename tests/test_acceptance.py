@@ -34,7 +34,6 @@ from prevbias import (
     draw_outcome,
     enumerate_outcomes,
     exact_quantities,
-    expected_shares,
     Mechanism,
     p0_hat_mar,
     p0_hat_maxent,
@@ -50,7 +49,7 @@ from prevbias.scenarios import (
     mnar_scenario,
 )
 
-from conftest import oracle_mcar_mse
+from conftest import expected_shares, oracle_mcar_mse
 
 BASE_RHO = (("0.75", "0.05"), ("0.05", "0.15"))
 PI_MAR = [[0.1, 0.1], [0.9, 0.9]]

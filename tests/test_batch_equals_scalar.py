@@ -21,7 +21,6 @@ from prevbias import (
     EmptyStratum,
     InvalidSpec,
     Mechanism,
-    SimplexSlab,
     ci_logit_prevalence,
     mean_shares,
     mechanism_plugin_inputs,
@@ -98,7 +97,7 @@ def _mechanism(kind: str, s_count: int, rng):
     if upper.sum() < 1.0:
         upper = np.minimum(upper + (1.0 - upper.sum()), 1.0)
     mech = Mechanism.maxent(lower, upper)
-    return mech, mean_shares(SimplexSlab(mech.lower, mech.upper))
+    return mech, mean_shares(mech.slab)
 
 
 def _counts(s_count: int, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -187,10 +187,29 @@ class TestRun:
         assert len(rows) == 2
         assert set(rows[0]) >= {"n", "i_plus_t", "i_plus_c", "i_plus"}
 
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", "a\\b", "/x", ".", "..", ""])
+    def test_label_that_is_not_a_file_name_writes_nothing(self, capsys, tmp_path, label):
+        doc = json.loads((CONFIG_DIR / "mar.json").read_text())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(doc, label=label, n_grid=[1000], replicates=5)))
+        out = tmp_path / "nest" / "out"
+        code = main(["run", "--config", str(config), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: label must be a plain file-name stem")
+        assert list(tmp_path.rglob("*")) == [config]
+
+    def test_maxent_without_bounds_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        config = small_config(tmp_path, mechanism={"type": "maxent"})
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "need explicit share bounds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
 
 class TestFractionShares:
-    """Mechanism shares and maxent bounds parse as population shares do:
-    fraction strings work, and text that is not a number exits 2."""
+    """Every number in a config or count table parses by one rule: fraction
+    strings work wherever a share or probability goes, whole-number fields
+    refuse fractions, and text that is not a number exits 2, naming the field."""
 
     def _estimate(self, capsys, doc, tmp_path):
         path = tmp_path / "counts.json"
@@ -253,6 +272,65 @@ class TestFractionShares:
         assert proc.returncode == 2, proc.stderr
         assert "is not a number" in proc.stderr
         assert "internal error" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("N", 10_000.7),
+            ("N", "lots"),
+            ("N", True),
+            ("N", "1e10000000"),
+            ("counts", [[380.9, 20], [40, 60]]),
+            ("counts", [["a", 20], [40, 60]]),
+            ("counts", [[380, 20], [40]]),
+            ("counts", [[1e30, 20], [40, 60]]),
+            ("alpha", "x"),
+        ],
+    )
+    def test_estimate_rejects_malformed_numbers(self, capsys, tmp_path, field, value):
+        code, out = self._estimate(capsys, dict(MAR_INPUT, **{field: value}), tmp_path)
+        assert code == 2, out.err
+        assert out.err.startswith(f"error: {field}")
+        assert out.out == ""
+
+    def test_run_takes_fraction_string_pi(self, tmp_path):
+        doc = json.loads((CONFIG_DIR / "mar.json").read_text())
+        population = dict(doc["population"], pi=[["1/10", "1/10"], ["9/10", "9/10"]])
+        fraction = small_config(tmp_path, population=population)
+        outs = tmp_path / "fraction", tmp_path / "decimal"
+        assert main(["run", "--config", str(fraction), "--out-dir", str(outs[0])]) == 0
+        assert main(["run", "--config", str(small_config(tmp_path)), "--out-dir", str(outs[1])]) == 0
+        for suffix in ("activeinfo", "rmse", "coverage", "cifan"):
+            name = f"mar_{suffix}.csv"
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_grid", [1000.5]),
+            ("n_grid", [1e20]),
+            ("n_grid", "1000"),
+            ("replicates", 5.9),
+            ("replicates", "many"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("alpha", "x"),
+            ("alpha", "1e-10000000"),
+            ("pi", [["x", "1/10"], ["9/10", "9/10"]]),
+            ("pi", [["1/10", "1/10"], ["9/10"]]),
+        ],
+    )
+    def test_run_rejects_malformed_numbers(self, capsys, tmp_path, field, value):
+        doc = json.loads((CONFIG_DIR / "mar.json").read_text())
+        if field == "pi":
+            config = small_config(tmp_path, population=dict(doc["population"], pi=value))
+        else:
+            config = small_config(tmp_path, **{field: value})
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {field}")
+        assert list(tmp_path.iterdir()) == [config]
 
 
 class TestBundledConfigs:

@@ -9,9 +9,8 @@ import pytest
 from prevbias import (
     InvalidSpec,
     Mechanism,
-    MechanismMismatch,
+    PopulationSpec,
     ScenarioConfig,
-    run_coverage_table,
     run_experiment,
 )
 from prevbias.scenarios import (
@@ -21,7 +20,7 @@ from prevbias.scenarios import (
     mnar_scenario,
 )
 
-from conftest import MAR_ORACLE, oracle_mcar_mse
+from conftest import MAR_ORACLE, PI_MCAR, oracle_mcar_mse
 
 
 class TestScenarioConfig:
@@ -54,7 +53,34 @@ class TestScenarioConfig:
 
     def test_spec_materialisation(self):
         cfg = mar_scenario(n_grid=(1000, 10_000), replicates=5)
-        assert cfg.spec_for(10_000).n_si.tolist() == [[7500, 500], [500, 1500]]
+        assert cfg.specs[1].n_si.tolist() == [[7500, 500], [500, 1500]]
+
+    def test_float_shares_give_the_sizes_of_the_population_path(self):
+        rho = [[0.75, 0.05], [0.05, 0.15]]
+        cfg = _config(rho, n_grid=(20, 1000, 10**6))
+        for n, spec in zip(cfg.n_grid, cfg.specs):
+            assert spec.n_si.tolist() == PopulationSpec(n=n, rho=rho, pi=PI_MCAR).n_si.tolist()
+
+    def test_float_thirds_are_not_exact_shares(self):
+        # repr(1/3) is a 16-digit decimal, so these shares do not sum to 1
+        rho = [[1 / 3, 1 / 3], [1 / 6, 1 / 6]]
+        with pytest.raises(InvalidSpec):
+            PopulationSpec(n=6, rho=rho, pi=PI_MCAR)
+        with pytest.raises(InvalidSpec):
+            _config(rho, n_grid=(6,))
+
+
+def _config(rho, n_grid):
+    return ScenarioConfig(
+        rho=rho,
+        pi=PI_MCAR,
+        mechanism=Mechanism.mcar(),
+        n_grid=n_grid,
+        replicates=1,
+        alpha=0.05,
+        seed=1,
+        label="shares",
+    )
 
 
 class TestDeterminism:
@@ -177,18 +203,14 @@ class TestRmseAggregation:
 
 
 class TestCoverage:
-    def test_requires_known_share_mechanism(self):
-        with pytest.raises(MechanismMismatch):
-            run_coverage_table(mcar_scenario(n_grid=(1000,), replicates=5))
-
     def test_moderate_prevalence_scenario_reaches_nominal_coverage(self):
         cfg = coverage_scenario(2, n_grid=(100_000,), replicates=300)
-        row = run_coverage_table(cfg).rows[0]
+        row = run_experiment(cfg).rows[0]
         assert row.coverage == pytest.approx(0.95, abs=0.04)
 
     def test_small_population_undercovers(self):
         cfg = coverage_scenario(1, n_grid=(1000, 100_000), replicates=300)
-        rows = run_coverage_table(cfg).rows
+        rows = run_experiment(cfg).rows
         assert rows[0].coverage < rows[1].coverage
 
 
@@ -197,7 +219,7 @@ class TestCiFan:
         cfg = coverage_scenario(2, n_grid=(1000, 10_000), replicates=150)
         fan = run_experiment(cfg).fan
         assert len(fan) == 300
-        report = run_coverage_table(cfg)
+        report = run_experiment(cfg)
         for row in report.rows:
             records = [f for f in fan if f.n == row.n]
             assert len(records) == 150

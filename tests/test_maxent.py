@@ -6,17 +6,15 @@ import pytest
 from prevbias import (
     EmptyRegion,
     InvalidSpec,
-    RejectionStarvation,
     RngStream,
     SimplexSlab,
     TooLarge,
     covid_shares,
-    expected_shares,
     mean_shares,
 )
 from prevbias.maxent import MAX_FREE_CLASSES
 
-from conftest import oracle_three_class_centroid
+from conftest import RejectionStarvation, expected_shares, oracle_three_class_centroid
 
 
 class TestSlab:

@@ -201,12 +201,12 @@ class TestExactQuantities:
         with pytest.raises(MechanismMismatch):
             exact_quantities(spec_mnar, Mechanism.mcar())
 
-    def test_maxent_requires_supplied_limit_shares(self, spec_mar):
-        mech = Mechanism.maxent([0.7, 0.1], [0.9, 0.3])
+    def test_maxent_limit_shares_are_the_exact_centroid(self, spec_mar):
+        q = exact_quantities(spec_mar, Mechanism.maxent([0.7, 0.1], [0.9, 0.3]))
+        assert q.rho_bar.tolist() == [0.8, 0.2]
+        assert q.p_bar0 == pytest.approx(0.8 * 0.0625 + 0.2 * 0.75, abs=1e-12)
         with pytest.raises(InvalidSpec):
-            exact_quantities(spec_mar, mech)
-        q = exact_quantities(spec_mar, mech, rho_bar=[0.85, 0.15])
-        assert q.p_bar0 == pytest.approx(0.85 * 0.0625 + 0.15 * 0.75, abs=1e-12)
+            exact_quantities(spec_mar, Mechanism.maxent())
 
     def test_v4_cauchy_schwarz_fuzzed(self):
         rng = np.random.default_rng(303)

@@ -94,8 +94,8 @@ def test_reused_generator_matches_many_consecutive_streams():
 @pytest.mark.parametrize("scenario", [mar_scenario, mnar_scenario])
 def test_engine_counts_are_each_replicate_streams_draw(scenario):
     cfg = scenario(n_grid=(1000, 10_000), replicates=40, seed=2**40 + 3)
-    specs = [cfg.spec_for(n) for n in cfg.n_grid]
-    counts = _draw_counts(cfg, specs)
+    specs = cfg.specs
+    counts = _draw_counts(cfg)
     for k, spec in enumerate(specs):
         stream = k * cfg.replicates
         want = [draw_outcome(spec, RngStream(cfg.seed, stream + r)).counts for r in range(cfg.replicates)]
