@@ -51,7 +51,6 @@ from .estimators import (
 )
 from .experiments import (
     ExperimentReport,
-    FanRecord,
     ReportRow,
     ScenarioConfig,
     run_experiment,

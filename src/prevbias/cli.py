@@ -3,10 +3,12 @@
 ``prevbias estimate`` takes a count table (JSON, file or stdin) and prints a
 single JSON object with the point estimates, standard errors, and confidence
 intervals.  ``prevbias run`` executes a scenario config and writes the
-aggregate tables plus per-replicate interval records next to a manifest that
-pins the seed and the config hash.
+aggregate tables plus the per-replicate interval table next to a manifest
+that pins the seed and the config hash.
 
-Exit codes: 0 on success, 2 for invalid input, 3 for runtime failures.
+Exit codes: 0 on success, 1 when stdout is closed before the output is
+written (as in ``prevbias estimate | head -1``), 2 for invalid input, 3 for
+runtime failures.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import traceback
-from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -49,7 +51,6 @@ ACTIVEINFO_COLUMNS = (
 )
 RMSE_COLUMNS = ("n", "replicates", "kept", "discarded", "rmse_p0", "rmse_abs_sd")
 COVERAGE_COLUMNS = ("n", "replicates", "kept", "discarded", "boundary_misses", "coverage")
-CIFAN_COLUMNS = ("n", "rep", "p0_hat", "lo", "hi", "hit")
 
 
 def _fmt(value) -> str:
@@ -60,15 +61,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(path: Path, columns, rows, fmt: str) -> None:
-    """Write the named fields of each row object (a ReportRow or FanRecord)."""
-    fields = attrgetter(*columns)
+def _write_table(path: Path, table, fmt: str) -> None:
+    """Write a table given as a mapping from column name to column values."""
+    names = list(table)
     if fmt == "json":
-        payload = [dict(zip(columns, fields(row))) for row in rows]
-        path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+        columns = [[v if math.isfinite(v) else None for v in column] for column in table.values()]
+        payload = [dict(zip(names, row)) for row in zip(*columns)]
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
-    lines = [",".join(columns)]
-    lines.extend(",".join(map(_fmt, fields(row))) for row in rows)
+    lines = [",".join(names)]
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*table.values()))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -156,17 +158,18 @@ def cmd_run(args) -> int:
 
     report = run_experiment(cfg, threads=args.threads)
 
-    ext = "json" if args.format == "json" else "csv"
-    files = {
-        "activeinfo": out_dir / f"{cfg.label}_activeinfo.{ext}",
-        "rmse": out_dir / f"{cfg.label}_rmse.{ext}",
-        "coverage": out_dir / f"{cfg.label}_coverage.{ext}",
-        "cifan": out_dir / f"{cfg.label}_cifan.{ext}",
+    def row_table(names):
+        return {name: [getattr(row, name) for row in report.rows] for name in names}
+
+    tables = {
+        "activeinfo": row_table(ACTIVEINFO_COLUMNS),
+        "rmse": row_table(RMSE_COLUMNS),
+        "coverage": row_table(COVERAGE_COLUMNS),
+        "cifan": report.fan,
     }
-    _write_table(files["activeinfo"], ACTIVEINFO_COLUMNS, report.rows, args.format)
-    _write_table(files["rmse"], RMSE_COLUMNS, report.rows, args.format)
-    _write_table(files["coverage"], COVERAGE_COLUMNS, report.rows, args.format)
-    _write_table(files["cifan"], CIFAN_COLUMNS, report.fan, args.format)
+    files = {key: out_dir / f"{cfg.label}_{key}.{args.format}" for key in tables}
+    for key, table in tables.items():
+        _write_table(files[key], table, args.format)
 
     manifest = {
         "label": cfg.label,
@@ -215,7 +218,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send that flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,7 @@ class TooLarge(PrevBiasError):
     """An exact enumeration or sum was requested above its supported size."""
 
 
-class EmptyRegion(PrevBiasError):
+class EmptyRegion(InvalidSpec):
     """The constrained share region contains no share vector."""
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo study runner: replicate engine, tables, and CI fans.
+"""Monte Carlo study runner: replicate engine, aggregate rows, and CI fan columns.
 
 A scenario fixes the population shape (shares, testing probabilities), a
 correction mechanism, a grid of population sizes, a replicate count, a
@@ -121,29 +121,15 @@ class ReportRow:
     boundary_misses: int
 
 
-@dataclass(frozen=True)
-class FanRecord:
-    """One replicate's interval for the fan plots (NaN endpoints when the
-    replicate was discarded or ended on a boundary estimate)."""
-
-    n: int
-    rep: int
-    p0_hat: float
-    lo: float
-    hi: float
-    hit: bool
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    label: str
-    mechanism: str
-    alpha: float
-    seed: int
-    n_grid: tuple[int, ...]
-    replicates: int
+    """The aggregates of every grid position, and the interval fan: one
+    entry per replicate per position in each of the columns ``n``, ``rep``,
+    ``p0_hat``, ``lo``, ``hi`` and ``hit`` (NaN estimate and endpoints when
+    the replicate was discarded, NaN endpoints on a boundary estimate)."""
+
     rows: tuple[ReportRow, ...]
-    fan: tuple[FanRecord, ...]
+    fan: dict[str, list]
 
 
 def _scenario_shares(cfg: ScenarioConfig) -> np.ndarray | None:
@@ -294,7 +280,7 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
     shares = _scenario_shares(cfg)
     mar_compatible = cfg.specs[0].is_mar
     rows = []
-    fan = []
+    fan = {name: [] for name in ("n", "rep", "p0_hat", "lo", "hi", "hit")}
     for n, spec, counts in zip(cfg.n_grid, cfg.specs, _draw_counts(cfg)):
         p0_true = population_prevalence(spec)
         cols = replicate_columns(counts, spec.n_si, cfg.mechanism, shares, p0_true, cfg.alpha)
@@ -339,18 +325,10 @@ def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> Experimen
                 boundary_misses=int(cols.boundary.sum()),
             )
         )
-        fan.extend(
-            map(FanRecord, itertools.repeat(n), range(cfg.replicates), cols.p0_hat.tolist(),
-                cols.lo.tolist(), cols.hi.tolist(), cols.hit.tolist())
-        )
-    return ExperimentReport(
-        label=cfg.label,
-        mechanism=cfg.mechanism.kind,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
-        n_grid=cfg.n_grid,
-        replicates=cfg.replicates,
-        rows=tuple(rows),
-        fan=tuple(fan),
-    )
-
+        fan["n"] += [n] * cfg.replicates
+        fan["rep"] += range(cfg.replicates)
+        fan["p0_hat"] += cols.p0_hat.tolist()
+        fan["lo"] += cols.lo.tolist()
+        fan["hi"] += cols.hi.tolist()
+        fan["hit"] += cols.hit.tolist()
+    return ExperimentReport(rows=tuple(rows), fan=fan)

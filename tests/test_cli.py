@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,25 @@ class TestEstimate:
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(MAR_INPUT))
         assert main(["estimate", "--input", str(path)]) == 0
+
+    # unbuffered, the write fails in print; buffered, in the flush after it
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, unbuffered):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(MAR_INPUT))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prevbias", "estimate", "--input", str(path)],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+            text=True,
+        )
+        proc.stdout.close()  # the reader is gone before the child writes
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""  # no traceback, no "internal error"
 
 
 def test_import_loads_no_scipy():
@@ -203,6 +223,14 @@ class TestRun:
         code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "need explicit share bounds" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_empty_maxent_region_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        mechanism = {"type": "maxent", "lower": [0.7, 0.6], "upper": [0.8, 0.7]}
+        config = small_config(tmp_path, mechanism=mechanism)
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: no share vector satisfies the bounds")
         assert list(tmp_path.iterdir()) == [config]
 
 

@@ -1,6 +1,7 @@
 """Replicate engine: determinism, aggregation conventions, and scaling."""
 
 import math
+from dataclasses import astuple
 from fractions import Fraction as F
 
 import numpy as np
@@ -97,36 +98,24 @@ class TestDeterminism:
     def test_different_seed_changes_the_records(self):
         a = run_experiment(mcar_scenario(n_grid=(1000,), replicates=8, seed=1))
         b = run_experiment(mcar_scenario(n_grid=(1000,), replicates=8, seed=2))
+        assert not _fans_equal(a, b)
         assert not _reports_equal(a, b)
 
 
 def _reports_equal(a, b) -> bool:
-    if (a.label, a.seed, a.n_grid, a.replicates) != (b.label, b.seed, b.n_grid, b.replicates):
-        return False
-    for ra, rb in zip(a.rows, b.rows):
-        if ra != rb and not _rows_nan_equal(ra, rb):
-            return False
-    return all(fa == fb or _fan_nan_equal(fa, fb) for fa, fb in zip(a.fan, b.fan))
+    rows_equal = len(a.rows) == len(b.rows) and all(
+        _nan_equal(astuple(ra), astuple(rb)) for ra, rb in zip(a.rows, b.rows)
+    )
+    return rows_equal and _fans_equal(a, b)
 
 
-def _rows_nan_equal(ra, rb) -> bool:
-    for field in ra.__dataclass_fields__:
-        va, vb = getattr(ra, field), getattr(rb, field)
-        if isinstance(va, float) and math.isnan(va) and math.isnan(vb):
-            continue
-        if va != vb:
-            return False
-    return True
+def _fans_equal(a, b) -> bool:
+    return a.fan.keys() == b.fan.keys() and all(_nan_equal(a.fan[k], b.fan[k]) for k in a.fan)
 
 
-def _fan_nan_equal(fa, fb) -> bool:
-    for field in fa.__dataclass_fields__:
-        va, vb = getattr(fa, field), getattr(fb, field)
-        if isinstance(va, float) and math.isnan(va) and math.isnan(vb):
-            continue
-        if va != vb:
-            return False
-    return True
+def _nan_equal(xs, ys) -> bool:
+    """Equal value by value, with NaN equal to NaN."""
+    return len(xs) == len(ys) and all(x == y or (x != x and y != y) for x, y in zip(xs, ys))
 
 
 class TestActiveInfoAggregation:
@@ -218,17 +207,17 @@ class TestCiFan:
     def test_cardinality_and_consistency_with_coverage(self):
         cfg = coverage_scenario(2, n_grid=(1000, 10_000), replicates=150)
         fan = run_experiment(cfg).fan
-        assert len(fan) == 300
+        assert len(fan["n"]) == 300
         report = run_experiment(cfg)
         for row in report.rows:
-            records = [f for f in fan if f.n == row.n]
-            assert len(records) == 150
-            assert np.mean([f.hit for f in records]) == pytest.approx(row.coverage, abs=1e-12)
+            hits = [hit for n, hit in zip(fan["n"], fan["hit"]) if n == row.n]
+            assert len(hits) == 150
+            assert np.mean(hits) == pytest.approx(row.coverage, abs=1e-12)
 
     def test_width_shrinks_like_root_n(self):
         cfg = mar_scenario(n_grid=(10_000, 1_000_000), replicates=120)
         fan = run_experiment(cfg).fan
         widths = {}
         for n in (10_000, 1_000_000):
-            widths[n] = np.median([f.hi - f.lo for f in fan if f.n == n])
+            widths[n] = np.median([hi - lo for m, lo, hi in zip(fan["n"], fan["lo"], fan["hi"]) if m == n])
         assert widths[1_000_000] / widths[10_000] == pytest.approx(0.1, rel=0.2)

@@ -57,6 +57,7 @@ GOLDEN = {
     ("coverage1", "csv"): "b4828e292277666dc8f448fc892554940e0baba314136efbe35cf04b49c3b8e4",
     ("coverage2", "csv"): "c8c3accac8690731d56a04ff57d78e5cb2d52b488e1d31017812e5d78ee9c817",
     ("tiny", "csv"): "cd8e1e375541b708bb4ad3688692cba7331154e18d9c89c7b1eaa6f315f21967",
+    ("tiny", "json"): "8541ee6ff4e8e7592da742989a6bc389b3f689661414a17a9ef5de0512e68ee1",
     ("maxent3", "csv"): "c031d7eb9084ee8f0aa3e29e11d39a176dd685dea37019fd9c9a4fd6f15d5b40",
 }
 
