@@ -29,10 +29,11 @@ from .errors import (
     InvalidSpec,
     NegativeVarianceCombination,
 )
-from .model import MAR, MAXENT, MCAR, Mechanism
+from .model import MCAR, Mechanism
 from .sampler import TestingOutcome
 
 _CLIP_TOL = 1e-9
+_NEGATIVE_CAUSE = "a symptom class was tested beyond N times its share"
 
 
 @lru_cache(maxsize=64)
@@ -143,29 +144,16 @@ def plugin_variances(
     return VarianceEstimates(v1=v1, v2=v2, v3=v3, v4=v4, degenerate=degenerate)
 
 
-def mechanism_plugin_inputs(
-    outcome: TestingOutcome,
-    mechanism: Mechanism,
-    shares=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def mechanism_plugin_inputs(outcome: TestingOutcome, mechanism: Mechanism) -> tuple[np.ndarray, np.ndarray]:
     """Derive ``(pi_hat_s, rho_hat_s)`` for :func:`plugin_variances`.
 
-    Under mcar the sampling fraction is pooled (``N_T / N``) and the shares
-    are the observed sample fractions; under mar/maxent the shares are the
-    known or maxent mean ones and ``pi_hat_s = N_Ts / (N * share_s)``.
+    ``rho_hat_s`` is the mechanism's share vector (:meth:`Mechanism.shares`).
+    Under mcar the sampling fraction is pooled (``N_T / N``); under mar and
+    maxent it is ``pi_hat_s = N_Ts / (N * share_s)``.
     """
+    rho_hat = mechanism.shares(outcome.n, outcome.n_ts)
     if mechanism.kind == MCAR:
-        pi_hat = np.full(outcome.s, outcome.n_t / outcome.n, dtype=float)
-        rho_hat = np.asarray(outcome.rho_ts, dtype=float)
-        return pi_hat, rho_hat
-    if mechanism.kind == MAR:
-        rho_hat = np.asarray(mechanism.rho_s, dtype=float)
-    elif mechanism.kind == MAXENT:
-        if shares is None:
-            raise InvalidSpec("maxent plug-in needs the mean shares")
-        rho_hat = np.asarray(shares, dtype=float)
-    else:  # pragma: no cover
-        raise InvalidSpec(f"unknown mechanism kind {mechanism.kind!r}")
+        return np.full(outcome.s, outcome.n_t / outcome.n, dtype=float), rho_hat
     pi_hat = np.full(outcome.s, np.nan)
     np.divide(outcome.n_ts, outcome.n * rho_hat, out=pi_hat, where=rho_hat > 0)
     return pi_hat, rho_hat
@@ -238,17 +226,25 @@ def sigma_it(v, p: float, p_bar0: float, n: int, conditional: bool = False) -> f
     return math.sqrt(_bracket(v, p, p_bar0, conditional) / n)
 
 
+def _root(variance: float, name: str) -> float:
+    if variance < 0.0:
+        raise NegativeVarianceCombination(f"{name} = {variance!r} is negative; {_NEGATIVE_CAUSE}")
+    return math.sqrt(variance)
+
+
 def sigma_p(v, n: int) -> float:
-    """Standard error of the biased estimate, ``sqrt((V1 + V2) / N)``."""
+    """Standard error of the biased estimate, ``sqrt((V1 + V2) / N)``;
+    :class:`NegativeVarianceCombination` when ``(V1 + V2) / N < 0``."""
     v1, v2 = (v.v1, v.v2) if isinstance(v, VarianceEstimates) else (v[0], v[1])
     if n < 1:
         raise InvalidSpec("population size must be at least 1")
-    return math.sqrt((v1 + v2) / n)
+    return _root((v1 + v2) / n, "(V1 + V2) / N")
 
 
 def sigma_p0(v, n: int) -> float:
-    """Standard error of the corrected estimate, ``sqrt(V3 / N)``."""
+    """Standard error of the corrected estimate, ``sqrt(V3 / N)``;
+    :class:`NegativeVarianceCombination` when ``V3 / N < 0``."""
     v3 = v.v3 if isinstance(v, VarianceEstimates) else v[2]
     if n < 1:
         raise InvalidSpec("population size must be at least 1")
-    return math.sqrt(v3 / n)
+    return _root(v3 / n, "V3 / N")

@@ -116,12 +116,11 @@ def cmd_estimate(args) -> int:
         warnings.append(f"symptom classes without tested individuals: {empty}")
 
     try:
-        pi_hat_s, rho_hat_s = mechanism_plugin_inputs(outcome, mechanism, bundle.rho_hat)
-        v = plugin_variances(outcome, pi_hat_s, rho_hat_s)
+        v = plugin_variances(outcome, *mechanism_plugin_inputs(outcome, mechanism))
         if v.degenerate:
             warnings.append("a class positive rate is 0 or 1; its variance contribution is zero")
-        result["sigma_p"] = sigma_p(v, outcome.n)
-        result["sigma_p0"] = sigma_p0(v, outcome.n)
+        # both or neither: a negative variance leaves no sigma behind
+        result["sigma_p"], result["sigma_p0"] = sigma_p(v, outcome.n), sigma_p0(v, outcome.n)
         for target, est, sig in (
             ("ci_p", bundle.p_hat, result["sigma_p"]),
             ("ci_p0", bundle.p0_hat, result["sigma_p0"]),
@@ -153,10 +152,9 @@ def cmd_run(args) -> int:
         from dataclasses import replace
 
         cfg = replace(cfg, seed=int(args.seed))
+    report = run_experiment(cfg, threads=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    report = run_experiment(cfg, threads=args.threads)
 
     def row_table(names):
         return {name: [getattr(row, name) for row in report.rows] for name in names}

@@ -50,5 +50,6 @@ class BoundaryEstimate(PrevBiasError):
     """A prevalence estimate of exactly 0 or 1 has no logit confidence interval."""
 
 
-class NegativeVarianceCombination(PrevBiasError):
-    """A plug-in variance combination is negative beyond numerical tolerance."""
+class NegativeVarianceCombination(PrevBiasError, ValueError):
+    """A plug-in variance or variance combination is negative beyond numerical
+    tolerance, as it is when a symptom class was tested beyond N times its share."""

@@ -2,11 +2,12 @@
 
 The biased estimate is the raw positive rate among tested individuals.  The
 corrected estimates reweight the per-class positive rates by an estimate of
-the class shares, whose source depends on the assumed missingness mechanism:
-observed sample fractions (mcar, where no reweighting is needed), known
-shares (mar), or the maximum-entropy mean over bounded shares (maxent).
-All corrected estimators share :func:`share_weighted_p0`, so mechanisms that
-agree on the share vector agree on the estimate bit for bit.
+the class shares, which the assumed missingness mechanism picks
+(:meth:`prevbias.model.Mechanism.shares`): observed sample fractions (mcar,
+where no reweighting is needed), known shares (mar), or the maximum-entropy
+mean over bounded shares (maxent).  All corrected estimators share
+:func:`share_weighted_p0`, so mechanisms that agree on the share vector agree
+on the estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .errors import (
     MechanismMismatch,
     UndefinedActiveInfo,
 )
-from .maxent import SimplexSlab, covid_shares, mean_shares
-from .model import MAR, MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
+from .maxent import SimplexSlab
+from .model import MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
 from .sampler import TestingOutcome
 
 _SHARE_TOL = 1e-9
@@ -116,17 +117,7 @@ def p0_hat_maxent(outcome: TestingOutcome, slab: SimplexSlab | None = None) -> f
     an explicit slab the mean share is :func:`prevbias.maxent.mean_shares`
     (a degenerate slab reproduces the known-shares estimator).
     """
-    if slab is None:
-        if outcome.s != 2:
-            raise InvalidSpec("the closed form needs exactly two symptom classes")
-        if outcome.n_t == 0:
-            raise EmptySample("cannot correct an empty sample")
-        empty = [s for s in (0, 1) if outcome.n_ts[s] == 0]
-        if empty:
-            raise EmptyStratum(empty)
-        shares = covid_shares(outcome.n, outcome.n_t, int(outcome.n_ts[1]))
-    else:
-        shares = mean_shares(slab)
+    shares = Mechanism(kind=MAXENT, slab=slab).shares(outcome.n, outcome.n_ts)
     return share_weighted_p0(outcome, shares)
 
 
@@ -186,31 +177,14 @@ class EstimateBundle:
 
 
 def build_bundle(outcome: TestingOutcome, mechanism: Mechanism) -> EstimateBundle:
-    """Run the full estimation pipeline for one outcome.
-
-    The maxent mechanism without explicit bounds uses the two-class
-    convenience-sampling closed form; with bounds it uses the exact mean of
-    the feasible share region.
+    """Run the full estimation pipeline for one outcome: the biased estimate,
+    and the corrected one weighted by the mechanism's share vector
+    (:meth:`Mechanism.shares`), which under mcar is the biased estimate.
     """
     warnings: list[str] = []
     p_h = p_hat(outcome)
-    if mechanism.kind == MCAR:
-        p0_h = p0_hat_mcar(outcome)
-        rho_hat = np.asarray(outcome.rho_ts, dtype=float)
-    elif mechanism.kind == MAR:
-        if mechanism.rho_s.shape != (outcome.s,):
-            raise InvalidSpec("mechanism shares do not match the number of symptom classes")
-        rho_hat = np.asarray(mechanism.rho_s, dtype=float)
-        p0_h = p0_hat_mar(outcome, rho_hat)
-    elif mechanism.kind == MAXENT:
-        if mechanism.slab is None:
-            rho_hat = covid_shares(outcome.n, outcome.n_t, int(outcome.n_ts[1]))
-            p0_h = p0_hat_maxent(outcome)
-        else:
-            rho_hat = mean_shares(mechanism.slab)
-            p0_h = share_weighted_p0(outcome, rho_hat)
-    else:  # pragma: no cover - Mechanism constructor forbids other kinds
-        raise InvalidSpec(f"unknown mechanism kind {mechanism.kind!r}")
+    rho_hat = mechanism.shares(outcome.n, outcome.n_ts)
+    p0_h = p_h if mechanism.kind == MCAR else share_weighted_p0(outcome, rho_hat)
 
     try:
         i_t, i_c = active_info_estimates(p_h, p0_h)

@@ -32,11 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _expit, normal_quantile
-from .errors import InvalidSpec
-from .maxent import mean_shares
+from .asymptotics import _NEGATIVE_CAUSE, _expit, normal_quantile
+from .errors import InvalidSpec, NegativeVarianceCombination
 from .model import (
-    MAR,
     MAXENT,
     MCAR,
     Mechanism,
@@ -132,16 +130,6 @@ class ExperimentReport:
     fan: dict[str, list]
 
 
-def _scenario_shares(cfg: ScenarioConfig) -> np.ndarray | None:
-    """Share weights used by the corrected estimator, fixed per scenario."""
-    mech = cfg.mechanism
-    if mech.kind == MAR:
-        return np.asarray(mech.rho_s, dtype=float)
-    if mech.kind == MAXENT:
-        return mean_shares(mech.slab)
-    return None  # mcar reweights by the observed sample fractions
-
-
 @dataclass(frozen=True, eq=False)
 class ReplicateColumns:
     """Per-replicate results at one grid position, one array entry per
@@ -177,19 +165,18 @@ def _draw_counts(cfg: ScenarioConfig) -> list[np.ndarray]:
     return counts
 
 
-def replicate_columns(
-    counts, n_si, mechanism: Mechanism, shares, p0_true: float, alpha: float
-) -> ReplicateColumns:
+def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha: float) -> ReplicateColumns:
     """Estimates, plug-in standard errors and logit intervals of every
-    replicate in an ``(R, S, 2)`` counts array at once.
+    replicate in an ``(R, S, 2)`` counts array at once, weighted by the
+    mechanism's share vector (:meth:`Mechanism.shares`).
 
     Bit for bit what :func:`p_hat`, :func:`share_weighted_p0`,
     :func:`mechanism_plugin_inputs`, :func:`plugin_variances`,
     :func:`sigma_p0` and :func:`ci_logit_prevalence` give replicate by
     replicate (for populations below 2**53): sums over classes run in the
     scalar order, the interval uses the same ``math`` functions, and a
-    negative V3 raises the ``ValueError`` of :func:`math.sqrt`.  ``shares``
-    is the corrected estimator's share vector; it is ignored under mcar.
+    negative V3 in a kept replicate raises the
+    :class:`NegativeVarianceCombination` of :func:`sigma_p0`.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_si = np.asarray(n_si, dtype=np.int64)
@@ -204,18 +191,16 @@ def replicate_columns(
     with np.errstate(divide="ignore", invalid="ignore"):
         p_h = positives.sum(axis=1) / n_t
         rates = positives / n_ts
+        w = mechanism.shares(n, n_ts)  # (R, S) sample fractions under mcar, else (S,)
+        rho = np.broadcast_to(w, n_ts.shape)
+        ok = (n_t > 0) & ~np.any((rho > 0.0) & (n_ts == 0), axis=1)
         if mechanism.kind == MCAR:
-            ok = n_t > 0
             p0_h = p_h
-            rho = n_ts / n_t[:, None]
             pi_hat = np.broadcast_to((n_t / n)[:, None], n_ts.shape)
         else:
-            w = np.asarray(shares, dtype=float)
-            ok = (n_t > 0) & ~np.any((w > 0.0) & (n_ts == 0), axis=1)
             p0_h = np.zeros(len(counts))
             for s in np.flatnonzero(w > 0.0):  # class by class, as the scalar sum
                 p0_h = p0_h + w[s] * rates[:, s]
-            rho = np.broadcast_to(w, n_ts.shape)
             pi_hat = n_ts / (n * w)
 
         # plugin_variances with rho_bar = rho_hat, reduced to V3
@@ -228,10 +213,14 @@ def replicate_columns(
         odds = (1.0 - pi_safe) / pi_safe
         ratio3 = np.where(active, r**2 / np.where(active, r, 1.0), 0.0)
         # numpy sums each contiguous row as it sums the scalar path's 1-D array
-        v3 = (ratio3 * odds * noise).sum(axis=1)
-        if np.any(v3[ok] < 0.0):
-            raise ValueError("math domain error")
-        sigma = np.sqrt(v3 / n)
+        v3 = (ratio3 * odds * noise).sum(axis=1) / n
+        negative = np.flatnonzero(ok & (v3 < 0.0))
+        if negative.size:
+            raise NegativeVarianceCombination(
+                f"V3 / N is negative in {negative.size} of {len(counts)} replicates at N = {n} "
+                f"(first: replicate {negative[0]}); {_NEGATIVE_CAUSE}"
+            )
+        sigma = np.sqrt(v3)
 
         p_h = np.where(ok, p_h, np.nan)
         p0_h = np.where(ok, p0_h, np.nan)
@@ -277,13 +266,12 @@ def _log_ratio(numerator: float, denominator: float) -> float:
 def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
     """Run the scenario and aggregate every table in one pass.  ``threads``
     is accepted and ignored: the draws run in one thread, in stream order."""
-    shares = _scenario_shares(cfg)
     mar_compatible = cfg.specs[0].is_mar
     rows = []
     fan = {name: [] for name in ("n", "rep", "p0_hat", "lo", "hi", "hit")}
     for n, spec, counts in zip(cfg.n_grid, cfg.specs, _draw_counts(cfg)):
         p0_true = population_prevalence(spec)
-        cols = replicate_columns(counts, spec.n_si, cfg.mechanism, shares, p0_true, cfg.alpha)
+        cols = replicate_columns(counts, spec.n_si, cfg.mechanism, p0_true, cfg.alpha)
         kept = int(cols.ok.sum())
         p_hats = cols.p_hat[cols.ok]
         p0_hats = cols.p0_hat[cols.ok]

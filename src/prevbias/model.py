@@ -34,12 +34,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    EmptySample,
+    EmptyStratum,
     InvalidSpec,
     MechanismMismatch,
     UndefinedActiveInfo,
     ZeroTestingMass,
 )
-from .maxent import SimplexSlab, mean_shares
+from .maxent import SimplexSlab, covid_shares, mean_shares
 
 SHARE_SUM_TOL = 1e-12
 _INT64_MAX = 2**63 - 1
@@ -235,6 +237,11 @@ class Mechanism:
     shares only known to lie in the region ``slab`` (corrected through the
     mean of the uniform distribution on it).  Build them with :meth:`mcar`,
     :meth:`mar` and :meth:`maxent`.
+
+    The mechanism alone decides which share vector the corrected estimate
+    weights by (:meth:`shares`).  ``rho_s`` holds that vector whenever it is
+    fixed: the known shares under mar and the exact centroid
+    :func:`prevbias.maxent.mean_shares` of ``slab`` under bounded maxent.
     """
 
     kind: str
@@ -253,6 +260,10 @@ class Mechanism:
             if abs(float(shares.sum()) - 1.0) > SHARE_SUM_TOL:
                 raise InvalidSpec(f"rho_s must sum to 1 within {SHARE_SUM_TOL}")
             object.__setattr__(self, "rho_s", shares)
+        elif self.kind == MAXENT and self.slab is not None:
+            centroid = mean_shares(self.slab)
+            centroid.setflags(write=False)
+            object.__setattr__(self, "rho_s", centroid)
 
     @classmethod
     def mcar(cls) -> "Mechanism":
@@ -274,6 +285,32 @@ class Mechanism:
             _coerce_vector(lower, "maxent lower bounds"), _coerce_vector(upper, "maxent upper bounds")
         )
         return cls(kind=MAXENT, slab=slab)
+
+    def shares(self, n: int, n_ts) -> np.ndarray:
+        """The class shares the corrected estimate weights by, given the
+        population size ``n`` and the tested counts per class ``n_ts``:
+        ``rho_s`` under mar and bounded maxent; the sample fractions
+        ``n_ts / n_t`` over the last axis under mcar (one row per replicate of
+        an ``(R, S)`` batch, NaN for an empty sample); and under maxent without
+        bounds the centroid :func:`prevbias.maxent.covid_shares`, which needs
+        two classes, a tested individual and one in each class
+        (:class:`InvalidSpec`, :class:`EmptySample`, :class:`EmptyStratum`)."""
+        n_ts = np.asarray(n_ts)
+        if self.kind == MCAR:
+            return n_ts / n_ts.sum(axis=-1, keepdims=True)
+        if self.rho_s is not None:
+            if self.rho_s.shape != n_ts.shape[-1:]:
+                raise InvalidSpec("mechanism shares do not match the number of symptom classes")
+            return self.rho_s
+        if n_ts.shape != (2,):
+            raise InvalidSpec("the closed form needs exactly two symptom classes")
+        n_t = int(n_ts.sum())
+        if n_t == 0:
+            raise EmptySample("cannot correct an empty sample")
+        empty = [s for s in (0, 1) if n_ts[s] == 0]
+        if empty:
+            raise EmptyStratum(empty)
+        return covid_shares(n, n_t, int(n_ts[1]))
 
     def check_against(self, spec: PopulationSpec) -> None:
         """Validate mechanism metadata against a concrete population."""
@@ -380,10 +417,10 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
     """Evaluate the closed-form asymptotic quantities for a population.
 
     Requires per-symptom testing probabilities (``pi[s, i] = pi_s``).  The
-    limiting share weights ``rho_bar`` are the true class shares under the
-    mcar/mar mechanisms and, under maxent, the exact mean shares of the
-    mechanism's bounds (:func:`prevbias.maxent.mean_shares`); maxent without
-    explicit bounds has no population-level limit and is rejected.
+    limiting share weights ``rho_bar`` are the true class shares under mcar
+    and the mechanism's ``rho_s`` otherwise: the known shares under mar, the
+    exact mean shares of the bounds under maxent.  Maxent without explicit
+    bounds has no population-level limit and is rejected.
 
     Returns
     -------
@@ -408,11 +445,8 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
         raise ZeroTestingMass("every symptom class must have positive testing probability")
 
     mech.check_against(spec)
-    if mech.kind != MAXENT:
-        rb = np.array(rho_s, dtype=float, copy=True)
-    elif mech.slab is not None:
-        rb = mean_shares(mech.slab)
-    else:
+    rb = rho_s if mech.kind == MCAR else mech.rho_s
+    if rb is None:
         raise InvalidSpec("maxent limiting shares need explicit share bounds")
 
     p0s = spec.p0s

@@ -181,6 +181,21 @@ class TestMarginalSigmas:
         assert sigma_p(v, 10_000) == pytest.approx(math.sqrt(0.3 / 10_000), abs=1e-15)
         assert sigma_p0(v, 10_000) == pytest.approx(math.sqrt(0.3 / 10_000), abs=1e-15)
 
+    def test_negative_variance_is_a_typed_value_error(self):
+        for sigma, v in ((sigma_p, (0.1, -0.2, 0.0, 0.0)), (sigma_p0, (0.0, 0.0, -1e-300, 0.0))):
+            with pytest.raises(NegativeVarianceCombination) as caught:
+                sigma(v, 10)
+            assert isinstance(caught.value, ValueError)
+        assert math.copysign(1.0, sigma_p0((0.0, 0.0, -0.0, 0.0), 10)) == -1.0  # sqrt(-0.0) is -0.0
+
+    def test_class_tested_beyond_its_share_makes_the_plugin_variance_negative(self):
+        # class 2 has 38 tested individuals, more than N * 0.2 = 20.4
+        out = Outcome(counts=[[9, 5], [35, 15], [34, 4]], n=102)
+        v = plugin_variances(out, *mechanism_plugin_inputs(out, Mechanism.mar(["0.5", "0.3", "0.2"])))
+        assert v.v1 + v.v2 < 0.0
+        with pytest.raises(NegativeVarianceCombination, match="tested beyond N times its share"):
+            sigma_p(v, out.n)
+
 
 def _mar_replicates(n, reps, seed):
     spec = base_spec(PI_MAR, n=n)

@@ -21,8 +21,8 @@ from prevbias import (
     EmptyStratum,
     InvalidSpec,
     Mechanism,
+    NegativeVarianceCombination,
     ci_logit_prevalence,
-    mean_shares,
     mechanism_plugin_inputs,
     p_hat,
     plugin_variances,
@@ -46,15 +46,15 @@ KINDS = ("mcar", "mar", "maxent")
 ALPHAS = (0.05, 1.0, 1e-20, 1.0 - 2.0**-52, 0.1, 0.05)
 
 
-def scalar_replicate(counts, n_si, mechanism, shares, p0_true, alpha) -> dict:
+def scalar_replicate(counts, n_si, mechanism, p0_true, alpha) -> dict:
     """One replicate through the scalar path; ``ValueError`` propagates."""
     outcome = Outcome(counts=counts, n=int(n_si.sum()), n_si=n_si)
     try:
         p_h = p_hat(outcome)
-        p0_h = p_h if mechanism.kind == "mcar" else share_weighted_p0(outcome, shares)
+        p0_h = p_h if mechanism.kind == "mcar" else share_weighted_p0(outcome, mechanism.rho_s)
     except (EmptySample, EmptyStratum):
         return DISCARDED
-    pi_hat, rho_hat = mechanism_plugin_inputs(outcome, mechanism, shares)
+    pi_hat, rho_hat = mechanism_plugin_inputs(outcome, mechanism)
     v = plugin_variances(outcome, pi_hat, rho_hat)
     s_p0 = sigma_p0(v, outcome.n)
     try:
@@ -75,18 +75,16 @@ def _bits(values) -> np.ndarray:
 
 
 def _mechanism(kind: str, s_count: int, rng):
-    """A mechanism and the share vector the engine would use with it; one
-    class has zero share in about half the cases."""
+    """A mechanism; one class has zero share in about half the cases."""
     if kind == "mcar":
-        return Mechanism.mcar(), None
+        return Mechanism.mcar()
     zero = rng.integers(s_count) if rng.random() < 0.5 else None
     if kind == "mar":
         w = rng.dirichlet(np.ones(s_count))
         if zero is not None:
             w[zero] = 0.0
         w /= w.sum()
-        mech = Mechanism.mar(w)
-        return mech, np.asarray(mech.rho_s, dtype=float)
+        return Mechanism.mar(w)
     centre = rng.dirichlet(np.ones(s_count))
     lower = np.maximum(centre - rng.uniform(0.0, 0.2, s_count), 0.0)
     upper = np.minimum(centre + rng.uniform(0.0, 0.2, s_count), 1.0)
@@ -96,8 +94,7 @@ def _mechanism(kind: str, s_count: int, rng):
         upper = np.minimum(upper * 2.0, 1.0)
     if upper.sum() < 1.0:
         upper = np.minimum(upper + (1.0 - upper.sum()), 1.0)
-    mech = Mechanism.maxent(lower, upper)
-    return mech, mean_shares(mech.slab)
+    return Mechanism.maxent(lower, upper)
 
 
 def _counts(s_count: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -125,21 +122,21 @@ def test_columns_equal_the_scalar_path_bitwise(kind, s_count):
     rng = np.random.default_rng([s_count, KINDS.index(kind)])
     seen = dict.fromkeys(("kept", "discarded", "boundary", "degenerate", "zero_width", "raised"), 0)
     for case in range(6):
-        mech, shares = _mechanism(kind, s_count, rng)
+        mech = _mechanism(kind, s_count, rng)
         n_si, counts = _counts(s_count, rng)
         alpha = ALPHAS[case]
         p0_true = float(rng.uniform(0.05, 0.5))
         scalar, raised = [], []
         for r in range(REPS):
             try:
-                scalar.append((r, scalar_replicate(counts[r], n_si, mech, shares, p0_true, alpha)))
-            except ValueError:  # math.sqrt of a negative V3
+                scalar.append((r, scalar_replicate(counts[r], n_si, mech, p0_true, alpha)))
+            except ValueError:  # NegativeVarianceCombination: a negative V3
                 raised.append(r)
         for r in raised[:3]:
             with pytest.raises(ValueError):
-                replicate_columns(counts[r : r + 1], n_si, mech, shares, p0_true, alpha)
+                replicate_columns(counts[r : r + 1], n_si, mech, p0_true, alpha)
         rows = [r for r, _ in scalar]
-        cols = replicate_columns(counts[rows], n_si, mech, shares, p0_true, alpha)
+        cols = replicate_columns(counts[rows], n_si, mech, p0_true, alpha)
         for name in FLOAT_COLUMNS:
             want = [record[name] for _, record in scalar]
             np.testing.assert_array_equal(_bits(getattr(cols, name)), _bits(want), err_msg=name)
@@ -160,7 +157,7 @@ def test_counts_outside_their_strata_are_rejected():
     n_si = np.array([[5, 5], [5, 5]])
     for bad in ([[6, 0], [0, 0]], [[-1, 0], [0, 0]]):
         with pytest.raises(InvalidSpec):
-            replicate_columns(np.array([bad]), n_si, Mechanism.mcar(), None, 0.5, 0.05)
+            replicate_columns(np.array([bad]), n_si, Mechanism.mcar(), 0.5, 0.05)
 
 
 def test_negative_v3_raises_like_the_scalar_square_root():
@@ -169,6 +166,18 @@ def test_negative_v3_raises_like_the_scalar_square_root():
     counts = np.array([[[4, 0], [5, 5]]])
     mech = Mechanism.mar([0.7, 0.3])
     with pytest.raises(ValueError):
-        scalar_replicate(counts[0], n_si, mech, mech.rho_s, 0.25, 0.05)
+        scalar_replicate(counts[0], n_si, mech, 0.25, 0.05)
     with pytest.raises(ValueError):
-        replicate_columns(counts, n_si, mech, mech.rho_s, 0.25, 0.05)
+        replicate_columns(counts, n_si, mech, 0.25, 0.05)
+
+
+def test_negative_v3_is_a_typed_error_on_both_paths():
+    n_si = np.array([[10, 0], [5, 5]])
+    counts = np.array([[[4, 0], [5, 5]], [[4, 0], [1, 1]]])  # only the first is negative
+    mech = Mechanism.mar([0.7, 0.3])
+    with pytest.raises(NegativeVarianceCombination, match="V3 / N"):
+        scalar_replicate(counts[0], n_si, mech, 0.25, 0.05)
+    expected = r"negative in 1 of 2 replicates at N = 20 \(first: replicate 0\)"
+    with pytest.raises(NegativeVarianceCombination, match=expected):
+        replicate_columns(counts, n_si, mech, 0.25, 0.05)
+    assert replicate_columns(counts[1:], n_si, mech, 0.25, 0.05).ok.tolist() == [True]

@@ -88,6 +88,27 @@ class TestEstimate:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"N": 102, "counts": [[9, 5], [35, 15], [34, 4]],
+             "mechanism": {"type": "mar", "rho_s": ["0.5", "0.3", "0.2"]}},
+            {"N": 136, "counts": [[11, 2], [46, 9]],
+             "mechanism": {"type": "maxent", "lower": [0.6, 0.15], "upper": [0.85, 0.4]}},
+        ],
+    )
+    def test_class_tested_beyond_its_share_has_no_standard_errors(self, capsys, tmp_path, doc):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(doc))
+        assert main(["estimate", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        result = json.loads(captured.out)
+        assert 0.0 < result["p_hat"] < 1.0 and 0.0 < result["p0_hat"] < 1.0
+        assert not [key for key in result if key.startswith(("sigma", "ci_"))]
+        [warning] = [w for w in result["warnings"] if w.startswith("standard errors unavailable: ")]
+        assert "is negative" in warning
+
     def test_counts_exceeding_population_exit_2(self):
         doc = dict(MAR_INPUT, N=400)
         proc = run_cli(["estimate"], stdin=json.dumps(doc))
@@ -185,6 +206,26 @@ class TestRun:
         assert "Traceback (most recent call last)" in err
         assert "in broken_engine" in err
         assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: engine failed"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_plugin_variance_exits_3_in_one_line_and_writes_nothing(self, capsys, tmp_path):
+        # three classes with bounded shares at N = 40: some replicates test a
+        # class beyond N times its maxent mean share, so their V3 is negative
+        doc = {
+            "label": "s3", "seed": 1, "replicates": 200, "alpha": 0.05, "n_grid": [40],
+            "population": {
+                "rho": [["0.45", "0.05"], ["0.2", "0.1"], ["0.1", "0.1"]],
+                "pi": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]],
+            },
+            "mechanism": {"type": "maxent", "lower": [0.45, 0.15, 0.05], "upper": [0.65, 0.35, 0.25]},
+        }
+        config = tmp_path / "s3.json"
+        config.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: V3 / N is negative in ")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_missing_config_exit_2(self, tmp_path):
         proc = run_cli(["run", "--config", str(tmp_path / "nope.json")])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from prevbias import (
+    EmptySample,
+    EmptyStratum,
     InvalidSpec,
     Mechanism,
     MechanismMismatch,
@@ -15,7 +17,9 @@ from prevbias import (
     ZeroTestingMass,
     active_info_testing,
     corrected_prevalence_limit,
+    covid_shares,
     exact_quantities,
+    mean_shares,
     population_prevalence,
     testing_prevalence as prevalence_among_tested,
 )
@@ -152,6 +156,43 @@ class TestActiveInfo:
         spec = PopulationSpec(10, (("0.6", "0"), ("0.4", "0")), PI_MCAR)
         with pytest.raises(UndefinedActiveInfo):
             active_info_testing(spec)
+
+
+class TestMechanismShares:
+    """`Mechanism.shares` is the one place that picks the corrected estimate's
+    share vector."""
+
+    def test_mar_and_bounded_maxent_weight_by_rho_s(self):
+        mar = Mechanism.mar(["0.7", "0.3"])
+        assert mar.shares(1000, [10, 20]) is mar.rho_s
+        bounded = Mechanism.maxent([0.45, 0.15, 0.05], [0.65, 0.35, 0.25])
+        assert bounded.rho_s.tolist() == mean_shares(bounded.slab).tolist()
+        assert not bounded.rho_s.flags.writeable
+        assert bounded.shares(1000, np.zeros((4, 3), dtype=int)) is bounded.rho_s
+        with pytest.raises(InvalidSpec, match="do not match the number of symptom classes"):
+            bounded.shares(1000, [10, 20])
+
+    def test_mcar_weights_by_the_sample_fractions_row_by_row(self):
+        n_ts = np.array([[30, 10], [0, 7], [5, 0]])
+        assert Mechanism.mcar().shares(100, n_ts[0]).tolist() == [0.75, 0.25]
+        assert Mechanism.mcar().shares(100, n_ts).tolist() == [[0.75, 0.25], [0.0, 1.0], [1.0, 0.0]]
+
+    def test_maxent_without_bounds_uses_the_closed_form(self):
+        mech = Mechanism.maxent()
+        assert mech.rho_s is None
+        assert mech.shares(1000, [200, 100]).tolist() == covid_shares(1000, 300, 100).tolist()
+
+    def test_closed_form_errors_come_in_a_fixed_order(self):
+        mech = Mechanism.maxent()
+        with pytest.raises(InvalidSpec, match="exactly two symptom classes"):
+            mech.shares(1000, [0, 0, 0])
+        with pytest.raises(InvalidSpec, match="exactly two symptom classes"):
+            mech.shares(1000, [10])
+        with pytest.raises(EmptySample):
+            mech.shares(1000, [0, 0])
+        with pytest.raises(EmptyStratum) as caught:
+            mech.shares(1000, [0, 5])
+        assert caught.value.strata == (0,)
 
 
 class TestCorrectedLimit:
