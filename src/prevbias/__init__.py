@@ -7,72 +7,52 @@ It provides the biased and bias-corrected prevalence estimators, the
 active-information decomposition of the bias, asymptotic standard errors and
 confidence intervals, and a deterministic Monte Carlo experiment layer that
 validates the normal limits empirically.
+
+Every name below is imported from its module on first use (PEP 562), so
+``import prevbias`` loads nothing more.  The estimators compute on Python
+numbers and load no numpy; the study engine (``experiments``, ``rng``,
+``scenarios``) does.
 """
 
 __version__ = "0.1.0"
 
-from .asymptotics import (
-    ConfidenceInterval,
-    VarianceEstimates,
-    ci_active_info,
-    ci_logit_prevalence,
-    mechanism_plugin_inputs,
-    normal_quantile,
-    plugin_variances,
-    sigma_it,
-    sigma_p,
-    sigma_p0,
-)
-from .errors import (
-    BoundaryEstimate,
-    DivisionByZeroWeight,
-    EmptyRegion,
-    EmptySample,
-    EmptyStratum,
-    InvalidSpec,
-    MechanismMismatch,
-    NegativeVarianceCombination,
-    PrevBiasError,
-    TooLarge,
-    UndefinedActiveInfo,
-    ZeroTestingMass,
-)
-from .estimators import (
-    EstimateBundle,
-    active_info_estimates,
-    build_bundle,
-    conditional_targets,
-    p0_hat_general,
-    p0_hat_mar,
-    p0_hat_maxent,
-    p0_hat_mcar,
-    p_hat,
-    share_weighted_p0,
-)
-from .experiments import (
-    ExperimentReport,
-    ReportRow,
-    ScenarioConfig,
-    run_experiment,
-)
-from .maxent import SimplexSlab, covid_shares, mean_shares
-from .model import (
-    AsymptoticQuantities,
-    Mechanism,
-    PopulationSpec,
-    active_info_testing,
-    corrected_prevalence_limit,
-    exact_quantities,
-    population_prevalence,
-    testing_prevalence,
-)
-from .rng import RngStream
-from .sampler import TestingOutcome, draw_count_matrices, draw_outcome, enumerate_outcomes
-from .scenarios import (
-    coverage_scenario,
-    mar_scenario,
-    mcar_scenario,
-    mnar_scenario,
-)
+# module -> the names it exports
+_EXPORTS = {
+    "asymptotics": (
+        "ConfidenceInterval", "VarianceEstimates", "ci_active_info", "ci_logit_prevalence",
+        "mechanism_plugin_inputs", "normal_quantile", "plugin_variances", "sigma_it", "sigma_p",
+        "sigma_p0",
+    ),
+    "errors": (
+        "BoundaryEstimate", "DivisionByZeroWeight", "EmptyRegion", "EmptySample", "EmptyStratum",
+        "InvalidSpec", "MechanismMismatch", "NegativeVarianceCombination", "PrevBiasError",
+        "TooLarge", "UndefinedActiveInfo", "ZeroTestingMass",
+    ),
+    "estimators": (
+        "EstimateBundle", "active_info_estimates", "build_bundle", "conditional_targets",
+        "p0_hat_general", "p0_hat_mar", "p0_hat_maxent", "p_hat", "share_weighted_p0",
+    ),
+    "experiments": ("ExperimentReport", "ReportRow", "ScenarioConfig", "run_experiment"),
+    "maxent": ("SimplexSlab", "covid_shares", "mean_shares"),
+    "model": (
+        "AsymptoticQuantities", "Mechanism", "PopulationSpec", "active_info_testing",
+        "corrected_prevalence_limit", "exact_quantities", "population_prevalence",
+        "testing_prevalence",
+    ),
+    "rng": ("RngStream",),
+    "sampler": ("TestingOutcome", "draw_count_matrices", "draw_outcome", "enumerate_outcomes"),
+    "scenarios": ("coverage_scenario", "mar_scenario", "mcar_scenario", "mnar_scenario"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_SOURCE])
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    return value if module == name else getattr(value, name)

@@ -21,15 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 
-import numpy as np
-
 from .errors import (
     BoundaryEstimate,
     EmptyStratum,
     InvalidSpec,
     NegativeVarianceCombination,
 )
-from .model import MCAR, Mechanism
+from .maxent import ordered_sum
+from .model import MCAR, Mechanism, _floats
 from .sampler import TestingOutcome
 
 _CLIP_TOL = 1e-9
@@ -102,61 +101,59 @@ def plugin_variances(
     right choice under known shares, where both equal ``rho_s``).  Classes
     with zero weight are ignored; positively weighted classes must contain
     tested individuals and carry a positive ``pi_hat``.
-    """
-    pi_hat = np.asarray(pi_hat_s, dtype=float)
-    rho_hat = np.asarray(rho_hat_s, dtype=float)
-    rho_bar = rho_hat if rho_bar_hat_s is None else np.asarray(rho_bar_hat_s, dtype=float)
-    s_count = outcome.s
-    for name, vec in (("pi_hat_s", pi_hat), ("rho_hat_s", rho_hat), ("rho_bar_hat_s", rho_bar)):
-        if vec.shape != (s_count,):
-            raise InvalidSpec(f"{name} must have one entry per symptom class")
 
-    active = rho_hat > 0.0
+    Every sum over classes is :func:`prevbias.maxent.ordered_sum`, and a
+    class with zero weight adds exact zeros to it.
+    """
+    s_count = outcome.s
+    pi_hat = _floats(pi_hat_s, s_count, "pi_hat_s")
+    rho_hat = _floats(rho_hat_s, s_count, "rho_hat_s")
+    rho_bar = rho_hat if rho_bar_hat_s is None else _floats(rho_bar_hat_s, s_count, "rho_bar_hat_s")
+
+    active = [w > 0.0 for w in rho_hat]
     n_ts = outcome.n_ts
     missing = [s for s in range(s_count) if active[s] and n_ts[s] == 0]
     if missing:
         raise EmptyStratum(missing)
-    if np.any(pi_hat[active] <= 0.0):
+    if any(on and p <= 0.0 for on, p in zip(active, pi_hat)):
         raise InvalidSpec("pi_hat must be positive on positively weighted classes")
 
-    p0s_hat = np.zeros(s_count)
-    np.divide(outcome.counts[:, 1], n_ts, out=p0s_hat, where=n_ts > 0)
-    degenerate = bool(np.any((p0s_hat[active] == 0.0) | (p0s_hat[active] == 1.0)))
+    p0s_hat = [row[1] / n if n else 0.0 for row, n in zip(outcome.counts, n_ts)]
+    degenerate = any(on and (p == 0.0 or p == 1.0) for on, p in zip(active, p0s_hat))
 
-    r = np.where(active, rho_hat, 0.0)
-    rb = np.where(active, rho_bar, 0.0)
-    pi_safe = np.where(active, pi_hat, 1.0)
-    d = float((r * pi_safe).sum())
+    r = [w if on else 0.0 for on, w in zip(active, rho_hat)]
+    rb = [w if on else 0.0 for on, w in zip(active, rho_bar)]
+    pi_safe = [p if on else 1.0 for on, p in zip(active, pi_hat)]
+    mass = [w * p for w, p in zip(r, pi_safe)]
+    d = ordered_sum(mass)
     if d <= 0.0:
         raise InvalidSpec("total estimated testing mass must be positive")
 
-    noise = p0s_hat * (1.0 - p0s_hat)
-    p_tilde0 = float((r * pi_safe * p0s_hat).sum() / d)
-    v1 = float((r * pi_safe * (1.0 - pi_safe) * noise).sum() / d**2)
-    v2 = float((r * pi_safe * (1.0 - pi_safe) * (p0s_hat - p_tilde0) ** 2).sum() / d**2)
-    odds = (1.0 - pi_safe) / pi_safe
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio3 = np.where(active, rb**2 / np.where(active, r, 1.0), 0.0)
-        tilde = r * pi_safe / d
-        ratio4 = np.where(active, tilde * rb / np.where(active, r, 1.0), 0.0)
-    v3 = float((ratio3 * odds * noise).sum())
-    v4 = float((ratio4 * odds * noise).sum())
+    noise = [p * (1.0 - p) for p in p0s_hat]
+    p_tilde0 = ordered_sum(m * p for m, p in zip(mass, p0s_hat)) / d
+    spread = [m * (1.0 - p) for m, p in zip(mass, pi_safe)]
+    v1 = ordered_sum(m * e for m, e in zip(spread, noise)) / d**2
+    v2 = ordered_sum(m * ((p - p_tilde0) * (p - p_tilde0)) for m, p in zip(spread, p0s_hat)) / d**2
+    odds = [(1.0 - p) / p for p in pi_safe]
+    ratio3 = [b * b / w if on else 0.0 for on, w, b in zip(active, r, rb)]
+    ratio4 = [m / d * b / w if on else 0.0 for on, m, w, b in zip(active, mass, r, rb)]
+    v3 = ordered_sum(q * o * e for q, o, e in zip(ratio3, odds, noise))
+    v4 = ordered_sum(q * o * e for q, o, e in zip(ratio4, odds, noise))
     return VarianceEstimates(v1=v1, v2=v2, v3=v3, v4=v4, degenerate=degenerate)
 
 
-def mechanism_plugin_inputs(outcome: TestingOutcome, mechanism: Mechanism) -> tuple[np.ndarray, np.ndarray]:
+def mechanism_plugin_inputs(outcome: TestingOutcome, mechanism: Mechanism) -> tuple[tuple, tuple]:
     """Derive ``(pi_hat_s, rho_hat_s)`` for :func:`plugin_variances`.
 
     ``rho_hat_s`` is the mechanism's share vector (:meth:`Mechanism.shares`).
     Under mcar the sampling fraction is pooled (``N_T / N``); under mar and
-    maxent it is ``pi_hat_s = N_Ts / (N * share_s)``.
+    maxent it is ``pi_hat_s = N_Ts / (N * share_s)`` (NaN for a zero share).
     """
     rho_hat = mechanism.shares(outcome.n, outcome.n_ts)
     if mechanism.kind == MCAR:
-        return np.full(outcome.s, outcome.n_t / outcome.n, dtype=float), rho_hat
-    pi_hat = np.full(outcome.s, np.nan)
-    np.divide(outcome.n_ts, outcome.n * rho_hat, out=pi_hat, where=rho_hat > 0)
-    return pi_hat, rho_hat
+        return (outcome.n_t / outcome.n,) * outcome.s, rho_hat
+    n = outcome.n
+    return tuple(c / (n * w) if w > 0 else math.nan for c, w in zip(outcome.n_ts, rho_hat)), rho_hat
 
 
 def ci_logit_prevalence(

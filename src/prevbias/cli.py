@@ -35,7 +35,6 @@ from .asymptotics import (
 from .config import load_scenario, parse_count_table
 from .errors import BoundaryEstimate, InvalidSpec, PrevBiasError
 from .estimators import build_bundle
-from .experiments import run_experiment
 
 ACTIVEINFO_COLUMNS = (
     "n",
@@ -147,6 +146,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .experiments import run_experiment  # numpy, which `estimate` does without
+
     cfg, raw = load_scenario(args.config)
     if args.seed is not None:
         from dataclasses import replace

@@ -45,7 +45,6 @@ from __future__ import annotations
 import json
 
 from .errors import InvalidSpec
-from .experiments import ScenarioConfig
 from .model import Mechanism, _coerce_cell, _coerce_whole, _pairs
 from .sampler import TestingOutcome
 
@@ -69,7 +68,11 @@ def parse_mechanism(doc) -> Mechanism:
     raise InvalidSpec(f"unknown mechanism type {kind!r} (expected mcar, mar, or maxent)")
 
 
-def parse_scenario(doc: dict) -> ScenarioConfig:
+def parse_scenario(doc: dict):
+    """The :class:`prevbias.experiments.ScenarioConfig` of a scenario document;
+    the engine, and numpy with it, is imported only here."""
+    from .experiments import ScenarioConfig
+
     population = _require(doc, "population", "config")
     return ScenarioConfig(
         rho=_require(population, "rho", "population"),
@@ -83,7 +86,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     )
 
 
-def load_scenario(path) -> tuple[ScenarioConfig, bytes]:
+def load_scenario(path):
     """Read a scenario file; returns the parsed config and the raw bytes
     (hashed into the run manifest)."""
     with open(path, "rb") as handle:

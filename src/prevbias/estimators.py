@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     DivisionByZeroWeight,
     EmptySample,
@@ -25,11 +23,9 @@ from .errors import (
     MechanismMismatch,
     UndefinedActiveInfo,
 )
-from .maxent import SimplexSlab
-from .model import MAXENT, MCAR, Mechanism, PopulationSpec, population_prevalence
+from .maxent import SimplexSlab, ordered_sum
+from .model import MAXENT, MCAR, Mechanism, PopulationSpec, _floats, population_prevalence
 from .sampler import TestingOutcome
-
-_SHARE_TOL = 1e-9
 
 
 def p_hat(outcome: TestingOutcome) -> float:
@@ -47,34 +43,31 @@ def p0_hat_general(outcome: TestingOutcome, pi_hat_si) -> float:
     zero count contribute nothing and their weight may be arbitrary; a zero
     weight on a nonzero count is an error.
     """
-    pi_hat = np.asarray(pi_hat_si, dtype=float)
-    if pi_hat.shape != outcome.counts.shape:
-        raise InvalidSpec(f"pi_hat shape {pi_hat.shape} does not match counts {outcome.counts.shape}")
+    try:
+        pi_hat = [tuple(map(float, row)) for row in pi_hat_si]
+    except (TypeError, ValueError):
+        pi_hat = []
+    if [len(row) for row in pi_hat] != [2] * outcome.s:
+        raise InvalidSpec("pi_hat must hold one (healthy, infected) pair per symptom class")
     if outcome.n_t == 0:
         raise EmptySample("cannot correct an empty sample")
     numerator = 0.0
     denominator = 0.0
     for s in range(outcome.s):
         for i in range(2):
-            count = int(outcome.counts[s, i])
+            count = outcome.counts[s][i]
             if count == 0:
                 continue
-            if not pi_hat[s, i] > 0.0:
+            if not pi_hat[s][i] > 0.0:
                 raise DivisionByZeroWeight(
                     f"stratum (s={s}, i={i}) has {count} tested individuals but "
-                    f"weight {pi_hat[s, i]!r}"
+                    f"weight {pi_hat[s][i]!r}"
                 )
-            term = count / pi_hat[s, i]
+            term = count / pi_hat[s][i]
             denominator += term
             if i == 1:
                 numerator += term
     return numerator / denominator
-
-
-def p0_hat_mcar(outcome: TestingOutcome) -> float:
-    """Corrected estimate under uniform testing: the weights cancel, so this
-    is exactly the biased positive rate."""
-    return p_hat(outcome)
 
 
 def share_weighted_p0(outcome: TestingOutcome, shares) -> float:
@@ -85,28 +78,20 @@ def share_weighted_p0(outcome: TestingOutcome, shares) -> float:
     in where ``shares`` comes from.  Classes with zero weight are skipped, a
     positively weighted class without tested individuals is an error.
     """
-    w = np.asarray(shares, dtype=float)
-    if w.shape != (outcome.s,):
-        raise InvalidSpec("shares must have one entry per symptom class")
-    if np.any(w < 0.0):
+    w = _floats(shares, outcome.s, "shares")
+    if any(x < 0.0 for x in w):
         raise InvalidSpec("shares must be nonnegative")
     n_ts = outcome.n_ts
     missing = [s for s in range(outcome.s) if w[s] > 0.0 and n_ts[s] == 0]
     if missing:
         raise EmptyStratum(missing)
-    total = 0.0
-    for s in range(outcome.s):
-        if w[s] > 0.0:
-            total += w[s] * (outcome.counts[s, 1] / n_ts[s])
-    return float(total)
+    return ordered_sum(w[s] * (outcome.counts[s][1] / n_ts[s]) for s in range(outcome.s) if w[s] > 0.0)
 
 
 def p0_hat_mar(outcome: TestingOutcome, rho_s) -> float:
-    """Corrected estimate with known class shares (stratified positive rate)."""
-    w = np.asarray(rho_s, dtype=float)
-    if abs(float(w.sum()) - 1.0) > _SHARE_TOL:
-        raise InvalidSpec(f"class shares must sum to 1, got {float(w.sum())!r}")
-    return share_weighted_p0(outcome, w)
+    """Corrected estimate with known class shares (stratified positive rate);
+    the shares are read and checked as :meth:`Mechanism.mar` reads them."""
+    return share_weighted_p0(outcome, Mechanism.mar(rho_s).rho_s)
 
 
 def p0_hat_maxent(outcome: TestingOutcome, slab: SimplexSlab | None = None) -> float:
@@ -147,8 +132,7 @@ def conditional_targets(spec: PopulationSpec, outcome: TestingOutcome) -> tuple[
         raise EmptySample("no tested individuals")
     p0s = spec.p0s
     p_bar = 0.0
-    for s in range(spec.s):
-        n_ts = int(outcome.n_ts[s])
+    for s, n_ts in enumerate(outcome.n_ts):
         if n_ts:
             p_bar += (n_ts / n_t) * p0s[s]
     p0 = population_prevalence(spec)
@@ -167,8 +151,8 @@ class EstimateBundle:
 
     p_hat: float
     p0_hat: float
-    rho_hat: np.ndarray
-    p0s_hat: np.ndarray
+    rho_hat: tuple[float, ...]
+    p0s_hat: tuple[float, ...]
     pi_hat: float
     i_t_hat: float
     i_c_hat: float

@@ -191,7 +191,7 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     with np.errstate(divide="ignore", invalid="ignore"):
         p_h = positives.sum(axis=1) / n_t
         rates = positives / n_ts
-        w = mechanism.shares(n, n_ts)  # (R, S) sample fractions under mcar, else (S,)
+        w = np.asarray(mechanism.shares(n, n_ts))  # (R, S) sample fractions under mcar, else (S,)
         rho = np.broadcast_to(w, n_ts.shape)
         ok = (n_t > 0) & ~np.any((rho > 0.0) & (n_ts == 0), axis=1)
         if mechanism.kind == MCAR:
@@ -212,8 +212,11 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         noise = p0s * (1.0 - p0s)
         odds = (1.0 - pi_safe) / pi_safe
         ratio3 = np.where(active, r**2 / np.where(active, r, 1.0), 0.0)
-        # numpy sums each contiguous row as it sums the scalar path's 1-D array
-        v3 = (ratio3 * odds * noise).sum(axis=1) / n
+        terms = ratio3 * odds * noise
+        v3 = np.zeros(len(counts))
+        for s in range(terms.shape[1]):  # class by class, as the scalar ordered_sum
+            v3 = v3 + terms[:, s]
+        v3 = v3 / n
         negative = np.flatnonzero(ok & (v3 < 0.0))
         if negative.size:
             raise NegativeVarianceCombination(

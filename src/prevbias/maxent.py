@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import EmptyRegion, InvalidSpec, TooLarge
 
 _SUM_TOL = 1e-12
@@ -27,51 +25,60 @@ _SUM_TOL = 1e-12
 MAX_FREE_CLASSES = 13
 
 
+def ordered_sum(values) -> float:
+    """The float sum of ``values`` added one by one, left to right, from 0.0.
+
+    The one-shot estimators add every sum over symptom classes here, as the
+    batched engine adds class by class, so the two agree to the bit.  Below
+    eight terms it is also what numpy's ``sum`` gives.  The builtin ``sum``
+    is compensated from Python 3.12 on and ``math.fsum`` is exact, so
+    neither would do.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexSlab:
-    """The set of share vectors with ``lower_s <= rho_s <= upper_s`` summing to 1."""
+    """The set of share vectors with ``lower_s <= rho_s <= upper_s`` summing to
+    1; the bounds are read into tuples of floats."""
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if lower.ndim != 1 or lower.shape != upper.shape or lower.size == 0:
+        try:
+            lower = tuple(map(float, self.lower))
+            upper = tuple(map(float, self.upper))
+        except (TypeError, ValueError):
+            lower = upper = ()
+        if len(lower) != len(upper) or not lower:
             raise InvalidSpec("bounds must be two equal-length non-empty vectors")
-        if np.any(lower < 0.0) or np.any(upper > 1.0):
+        if any(not 0.0 <= x <= 1.0 for x in lower + upper):  # NaN too
             raise InvalidSpec("bounds must lie in [0, 1]")
-        if np.any(lower > upper):
+        if any(lo > hi for lo, hi in zip(lower, upper)):
             raise InvalidSpec("each lower bound must not exceed its upper bound")
-        if float(lower.sum()) > 1.0 + _SUM_TOL or float(upper.sum()) < 1.0 - _SUM_TOL:
+        low_sum, high_sum = ordered_sum(lower), ordered_sum(upper)
+        if low_sum > 1.0 + _SUM_TOL or high_sum < 1.0 - _SUM_TOL:
             raise EmptyRegion(
-                f"no share vector satisfies the bounds: sum(lower)={float(lower.sum())!r}, "
-                f"sum(upper)={float(upper.sum())!r}"
+                f"no share vector satisfies the bounds: sum(lower)={low_sum!r}, sum(upper)={high_sum!r}"
             )
-        lower.setflags(write=False)
-        upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
     @property
     def s(self) -> int:
-        return self.lower.size
+        return len(self.lower)
 
     @property
     def is_degenerate(self) -> bool:
         """True when the region is the single point ``lower`` (= ``upper``)."""
-        return bool(np.array_equal(self.lower, self.upper))
-
-    @classmethod
-    def covid(cls, n: int, n_t: int, n_t1: int) -> "SimplexSlab":
-        """Two-class bounds implied by convenience sampling of symptomatics."""
-        _check_covid_counts(n, n_t, n_t1)
-        a1 = n_t1 / n
-        b1 = n_t1 / n_t
-        return cls(lower=np.array([1.0 - b1, a1]), upper=np.array([1.0 - a1, b1]))
+        return self.lower == self.upper
 
 
-def mean_shares(slab: SimplexSlab) -> np.ndarray:
+def mean_shares(slab: SimplexSlab) -> tuple[float, ...]:
     """Exact mean of the uniform distribution on the feasible share region.
 
     Inclusion-exclusion over the violated upper bounds: with ``t = 1 - sum(lower)``
@@ -82,13 +89,13 @@ def mean_shares(slab: SimplexSlab) -> np.ndarray:
     Single-point regions return ``lower`` or ``upper``; more than
     ``MAX_FREE_CLASSES`` classes with ``w > 0`` raise :class:`TooLarge`.
     """
-    lower = [Fraction(x) for x in slab.lower.tolist()]
-    upper = [Fraction(x) for x in slab.upper.tolist()]
+    lower = [Fraction(x) for x in slab.lower]
+    upper = [Fraction(x) for x in slab.upper]
     t = 1 - sum(lower)
     if t <= 0:
-        return slab.lower.copy()
+        return slab.lower
     if sum(upper) <= 1:
-        return slab.upper.copy()
+        return slab.upper
     free = [s for s in range(slab.s) if upper[s] > lower[s]]
     k = len(free)
     if k > MAX_FREE_CLASSES:
@@ -106,22 +113,18 @@ def mean_shares(slab: SimplexSlab) -> np.ndarray:
     for j, s in enumerate(free):
         inside = sum(wt for wt, (_, mask) in zip(weights, terms) if mask >> j & 1)
         mean[s] += (upper[s] - lower[s]) * Fraction(inside, total) + shift
-    return np.array([float(x) for x in mean])
+    return tuple(float(x) for x in mean)
 
 
-def _check_covid_counts(n: int, n_t: int, n_t1: int) -> None:
-    if not 0 < n_t <= n:
-        raise InvalidSpec(f"need 0 < N_T <= N, got N_T={n_t}, N={n}")
-    if not 0 <= n_t1 <= n_t:
-        raise InvalidSpec(f"need 0 <= N_T1 <= N_T, got N_T1={n_t1}, N_T={n_t}")
-
-
-def covid_shares(n: int, n_t: int, n_t1: int) -> np.ndarray:
+def covid_shares(n: int, n_t: int, n_t1: int) -> tuple[float, float]:
     """Closed-form mean shares for the two-class convenience-sampling model.
 
     ``rho1_hat = (N_T1 / (2 N_T)) (N_T / N + 1)``, the midpoint of the
     interval ``(N_T1 / N, N_T1 / N_T)``, and ``rho0_hat = 1 - rho1_hat``.
     """
-    _check_covid_counts(n, n_t, n_t1)
+    if not 0 < n_t <= n:
+        raise InvalidSpec(f"need 0 < N_T <= N, got N_T={n_t}, N={n}")
+    if not 0 <= n_t1 <= n_t:
+        raise InvalidSpec(f"need 0 <= N_T1 <= N_T, got N_T1={n_t1}, N_T={n_t}")
     rho1 = (n_t1 / (2.0 * n_t)) * (n_t / n + 1.0)
-    return np.array([1.0 - rho1, rho1])
+    return (1.0 - rho1, rho1)

@@ -20,6 +20,11 @@ Everything in this module is a deterministic function of that layout:
   corrected estimator, useful as a bias oracle when the weighting assumption
   is wrong (testing probabilities that depend on infection status).
 
+The number parser and :class:`Mechanism` compute on Python numbers, so the
+one-shot estimate path loads no numpy.  Only the study engine and the tests
+build a :class:`PopulationSpec`; it holds numpy arrays, and it and the closed
+forms import numpy when they run.
+
 Randomness (one realised testing round) lives in :mod:`prevbias.sampler`;
 estimators computed from realised counts live in :mod:`prevbias.estimators`.
 """
@@ -30,8 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from numbers import Integral, Real
 
 from .errors import (
     EmptySample,
@@ -41,7 +45,7 @@ from .errors import (
     UndefinedActiveInfo,
     ZeroTestingMass,
 )
-from .maxent import SimplexSlab, covid_shares, mean_shares
+from .maxent import SimplexSlab, covid_shares, mean_shares, ordered_sum
 
 SHARE_SUM_TOL = 1e-12
 _INT64_MAX = 2**63 - 1
@@ -63,9 +67,11 @@ def _coerce_cell(cell, where: str) -> Fraction:
     """
     if isinstance(cell, bool):
         raise InvalidSpec(f"{where} is not a number: {cell!r}")
-    if isinstance(cell, (int, np.integer)):
+    if isinstance(cell, Integral):  # numpy integer scalars too
         return Fraction(int(cell))
-    if isinstance(cell, (float, np.floating)):
+    if isinstance(cell, Fraction):
+        return cell
+    if isinstance(cell, Real):  # floats, numpy float scalars too
         if not math.isfinite(cell):
             raise InvalidSpec(f"{where} is not a finite number: {cell!r}")
         cell = repr(float(cell))
@@ -76,8 +82,6 @@ def _coerce_cell(cell, where: str) -> Fraction:
             return Fraction(cell)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidSpec(f"{where} is not a number: {cell!r}") from exc
-    if isinstance(cell, Fraction):
-        return cell
     raise InvalidSpec(f"{where} has unsupported type {type(cell).__name__}")
 
 
@@ -119,12 +123,19 @@ def _coerce_matrix(values, name: str) -> tuple[tuple[Fraction, Fraction], ...]:
     )
 
 
-def _coerce_vector(values, name: str) -> np.ndarray:
-    """A read-only float vector of one or more numbers, each parsed by
-    :func:`_coerce_cell`."""
-    cells = _cells(values, name)
-    floats = np.array([float(_coerce_cell(cell, f"{name}[{s}]")) for s, cell in enumerate(cells)])
-    floats.setflags(write=False)
+def _coerce_vector(values, name: str) -> tuple[float, ...]:
+    """A tuple of one or more floats, each parsed by :func:`_coerce_cell`."""
+    return tuple(float(_coerce_cell(cell, f"{name}[{s}]")) for s, cell in enumerate(_cells(values, name)))
+
+
+def _floats(values, size: int, name: str) -> tuple[float, ...]:
+    """One float per symptom class, from any sequence of numbers."""
+    try:
+        floats = tuple(map(float, values))
+    except (TypeError, ValueError):
+        floats = ()
+    if len(floats) != size:
+        raise InvalidSpec(f"{name} must have one entry per symptom class")
     return floats
 
 
@@ -151,6 +162,8 @@ class PopulationSpec:
     pi: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         n = _coerce_whole(self.n, "population size", low=1)
         rho = _coerce_matrix(self.rho, "rho")
         rho_f = np.array(rho, dtype=float)
@@ -203,7 +216,7 @@ class PopulationSpec:
     @property
     def is_mar(self) -> bool:
         """True when testing probabilities depend on the symptom level only."""
-        return bool(np.array_equal(self.pi[:, 0], self.pi[:, 1]))
+        return bool((self.pi[:, 0] == self.pi[:, 1]).all())
 
     @property
     def pi_s(self) -> np.ndarray:
@@ -215,6 +228,8 @@ class PopulationSpec:
     @property
     def p0s(self) -> np.ndarray:
         """Within-class prevalences ``rho_s1 / rho_s`` (NaN for empty classes)."""
+        import numpy as np
+
         rho_s = self.rho_s
         out = np.full(self.s, np.nan)
         np.divide(self.rho[:, 1], rho_s, out=out, where=rho_s > 0)
@@ -245,7 +260,7 @@ class Mechanism:
     """
 
     kind: str
-    rho_s: np.ndarray | None = None
+    rho_s: tuple[float, ...] | None = None
     slab: SimplexSlab | None = None
 
     def __post_init__(self):
@@ -255,15 +270,13 @@ class Mechanism:
             if self.rho_s is None:
                 raise InvalidSpec("mar mechanism requires known class shares rho_s")
             shares = _coerce_vector(self.rho_s, "rho_s")
-            if np.any((shares < 0.0) | (shares > 1.0)):
+            if any(not 0.0 <= x <= 1.0 for x in shares):
                 raise InvalidSpec("rho_s entries must lie in [0, 1]")
-            if abs(float(shares.sum()) - 1.0) > SHARE_SUM_TOL:
+            if abs(ordered_sum(shares) - 1.0) > SHARE_SUM_TOL:
                 raise InvalidSpec(f"rho_s must sum to 1 within {SHARE_SUM_TOL}")
             object.__setattr__(self, "rho_s", shares)
         elif self.kind == MAXENT and self.slab is not None:
-            centroid = mean_shares(self.slab)
-            centroid.setflags(write=False)
-            object.__setattr__(self, "rho_s", centroid)
+            object.__setattr__(self, "rho_s", mean_shares(self.slab))
 
     @classmethod
     def mcar(cls) -> "Mechanism":
@@ -286,25 +299,30 @@ class Mechanism:
         )
         return cls(kind=MAXENT, slab=slab)
 
-    def shares(self, n: int, n_ts) -> np.ndarray:
+    def shares(self, n: int, n_ts):
         """The class shares the corrected estimate weights by, given the
         population size ``n`` and the tested counts per class ``n_ts``:
         ``rho_s`` under mar and bounded maxent; the sample fractions
-        ``n_ts / n_t`` over the last axis under mcar (one row per replicate of
-        an ``(R, S)`` batch, NaN for an empty sample); and under maxent without
-        bounds the centroid :func:`prevbias.maxent.covid_shares`, which needs
-        two classes, a tested individual and one in each class
-        (:class:`InvalidSpec`, :class:`EmptySample`, :class:`EmptyStratum`)."""
-        n_ts = np.asarray(n_ts)
+        ``n_ts / n_t`` under mcar (NaN for an empty sample); and under maxent
+        without bounds the centroid :func:`prevbias.maxent.covid_shares`,
+        which needs two classes, a tested individual and one in each class
+        (:class:`InvalidSpec`, :class:`EmptySample`, :class:`EmptyStratum`).
+
+        A numpy array ``n_ts`` may be the study engine's ``(R, S)`` batch, one
+        replicate per row: its mcar fractions come back as an array of the
+        same shape, and the class count is its last axis."""
         if self.kind == MCAR:
-            return n_ts / n_ts.sum(axis=-1, keepdims=True)
+            if hasattr(n_ts, "ndim"):
+                return n_ts / n_ts.sum(axis=-1, keepdims=True)
+            n_t = sum(n_ts)
+            return tuple(count / n_t if n_t else math.nan for count in n_ts)
         if self.rho_s is not None:
-            if self.rho_s.shape != n_ts.shape[-1:]:
+            if len(self.rho_s) != getattr(n_ts, "shape", [len(n_ts)])[-1]:
                 raise InvalidSpec("mechanism shares do not match the number of symptom classes")
             return self.rho_s
-        if n_ts.shape != (2,):
+        if getattr(n_ts, "ndim", 1) != 1 or len(n_ts) != 2:
             raise InvalidSpec("the closed form needs exactly two symptom classes")
-        n_t = int(n_ts.sum())
+        n_t = int(n_ts[0] + n_ts[1])
         if n_t == 0:
             raise EmptySample("cannot correct an empty sample")
         empty = [s for s in (0, 1) if n_ts[s] == 0]
@@ -315,9 +333,9 @@ class Mechanism:
     def check_against(self, spec: PopulationSpec) -> None:
         """Validate mechanism metadata against a concrete population."""
         if self.kind == MAR:
-            if self.rho_s.shape != (spec.s,):
-                raise InvalidSpec(f"rho_s has {self.rho_s.size} classes, population has {spec.s}")
-            if np.max(np.abs(self.rho_s - spec.rho_s)) > SHARE_SUM_TOL:
+            if len(self.rho_s) != spec.s:
+                raise InvalidSpec(f"rho_s has {len(self.rho_s)} classes, population has {spec.s}")
+            if max(abs(a - b) for a, b in zip(self.rho_s, spec.rho_s.tolist())) > SHARE_SUM_TOL:
                 raise InvalidSpec("mar mechanism shares are inconsistent with the population shares")
         elif self.slab is not None and self.slab.s != spec.s:
             raise InvalidSpec(f"maxent bounds have {self.slab.s} classes, population has {spec.s}")
@@ -399,9 +417,7 @@ def corrected_prevalence_limit(spec: PopulationSpec, weights=None) -> float:
     infection status this limit differs from the population prevalence; the
     gap ``|limit - p0|`` is the asymptotic bias floor of the correction.
     """
-    w = spec.rho_s if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (spec.s,):
-        raise InvalidSpec("weights must have one entry per symptom class")
+    w = spec.rho_s if weights is None else _floats(weights, spec.s, "weights")
     total = 0.0
     for s in range(spec.s):
         if w[s] <= 0.0:
@@ -432,6 +448,8 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
         ``v3 = sum_s rho_bar_s^2 rho_s^{-1} ((1-pi_s)/pi_s) p0s (1-p0s)``,
         ``v4 = sum_s rho_tilde_s rho_bar_s rho_s^{-1} ((1-pi_s)/pi_s) p0s (1-p0s)``.
     """
+    import numpy as np
+
     if not spec.is_mar:
         raise MechanismMismatch(
             "asymptotic quantities require pi[s, i] = pi_s; "
@@ -448,6 +466,7 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
     rb = rho_s if mech.kind == MCAR else mech.rho_s
     if rb is None:
         raise InvalidSpec("maxent limiting shares need explicit share bounds")
+    rb = np.asarray(rb)
 
     p0s = spec.p0s
     d = float(rho_s @ pi_s)

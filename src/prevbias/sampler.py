@@ -9,6 +9,10 @@ the same streams, positioning one reused generator on each replicate's
 stream: on a shared 2-core x86 host it ran 60,000-76,000 replicates per
 second at N = 10^6, so half a million take about 7-8 s, and the scalar
 binomial calls and the generator state setter are most of that time.
+
+A :class:`TestingOutcome` holds Python ints, so a count table is estimated
+without numpy; the draws import the numpy streams of :mod:`prevbias.rng` when
+they run.
 """
 
 from __future__ import annotations
@@ -16,108 +20,105 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
-import numpy as np
-
-from .errors import EmptySample, InvalidSpec, TooLarge
-from .model import PopulationSpec
-from .rng import as_generator
+from .errors import InvalidSpec, TooLarge
+from .model import PopulationSpec, _pairs
 
 ENUMERATION_LIMIT = 30
 
 
+def _count_matrix(values, name: str) -> tuple[tuple[int, int], ...]:
+    """A (S, 2) table of nonnegative whole counts as a tuple of int pairs;
+    numpy arrays and integer scalars are read too."""
+    rows = _pairs(values, name)
+    if any(isinstance(c, bool) or not isinstance(c, Integral) for row in rows for c in row):
+        raise InvalidSpec(f"{name} must hold whole numbers")
+    table = tuple((int(healthy), int(infected)) for healthy, infected in rows)
+    if any(c < 0 for row in table for c in row):
+        raise InvalidSpec(f"{name} must be nonnegative")
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class TestingOutcome:
-    """Realised tested counts ``N_Tsi`` for one testing round.
+    """Realised tested counts ``N_Tsi`` for one testing round, as a tuple of
+    ``(healthy, infected)`` int pairs, one per symptom class.
 
-    ``n_si`` (the subpopulation sizes) is known for simulated outcomes and
-    enables the realised sampling fractions; it is ``None`` for user-supplied
-    count tables where only the population total ``n`` is known.
+    ``n_si`` (the subpopulation sizes, in the same layout) is known for
+    simulated outcomes and enables the realised sampling fractions; it is
+    ``None`` for user-supplied count tables where only the population total
+    ``n`` is known.  Per-class results are tuples.  Ratios of counts are
+    Python ``int / int``, correctly rounded at every size.
     """
 
-    counts: np.ndarray
+    counts: tuple[tuple[int, int], ...]
     n: int
-    n_si: np.ndarray | None = None
+    n_si: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[1] != 2 or counts.shape[0] < 1:
-            raise InvalidSpec(f"counts must have shape (S, 2), got {counts.shape}")
-        if np.any(counts < 0):
-            raise InvalidSpec("counts must be nonnegative")
-        if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
+        counts = _count_matrix(self.counts, "counts")
+        if not isinstance(self.n, Integral) or self.n <= 0:
             raise InvalidSpec("population size must be a positive integer")
-        if int(counts.sum()) > int(self.n):
-            raise InvalidSpec(
-                f"tested count {int(counts.sum())} exceeds the population size {int(self.n)}"
-            )
-        counts.setflags(write=False)
+        n_t = sum(healthy + infected for healthy, infected in counts)
+        if n_t > self.n:
+            raise InvalidSpec(f"tested count {n_t} exceeds the population size {int(self.n)}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", int(self.n))
         if self.n_si is not None:
-            n_si = np.asarray(self.n_si, dtype=np.int64)
-            if n_si.shape != counts.shape:
+            n_si = _count_matrix(self.n_si, "n_si")
+            if len(n_si) != len(counts):
                 raise InvalidSpec("n_si must match the shape of counts")
-            bad = np.argwhere(counts > n_si)
-            if bad.size:
-                s, i = bad[0]
-                raise InvalidSpec(
-                    f"stratum (s={s}, i={i}): tested count {counts[s, i]} exceeds its size {n_si[s, i]}"
-                )
-            if int(n_si.sum()) != int(self.n):
+            for s, (row, sizes) in enumerate(zip(counts, n_si)):
+                for i in (0, 1):
+                    if row[i] > sizes[i]:
+                        raise InvalidSpec(
+                            f"stratum (s={s}, i={i}): tested count {row[i]} exceeds its size {sizes[i]}"
+                        )
+            if sum(a + b for a, b in n_si) != self.n:
                 raise InvalidSpec("stratum sizes must sum to the population size")
-            n_si.setflags(write=False)
             object.__setattr__(self, "n_si", n_si)
 
     @property
     def s(self) -> int:
-        return self.counts.shape[0]
+        return len(self.counts)
 
     @property
-    def n_ts(self) -> np.ndarray:
+    def n_ts(self) -> tuple[int, ...]:
         """Tested individuals per symptom class, ``N_Ts = N_Ts0 + N_Ts1``."""
-        return self.counts.sum(axis=1)
+        return tuple(healthy + infected for healthy, infected in self.counts)
 
     @property
     def n_t(self) -> int:
         """Total tested individuals ``N_T``."""
-        return int(self.counts.sum())
+        return sum(self.n_ts)
 
     @property
     def n_t1(self) -> int:
         """Tested infected individuals ``N_T.1``."""
-        return int(self.counts[:, 1].sum())
+        return sum(infected for _, infected in self.counts)
 
     @property
-    def rho_ts(self) -> np.ndarray:
-        """Observed class fractions in the sample, ``N_Ts / N_T``."""
-        n_t = self.n_t
-        if n_t == 0:
-            raise EmptySample("no tested individuals")
-        return self.n_ts / n_t
-
-    @property
-    def p0s_hat(self) -> np.ndarray:
+    def p0s_hat(self) -> tuple[float, ...]:
         """Positive rates per symptom class (NaN where nobody was tested)."""
-        n_ts = self.n_ts
-        out = np.full(self.s, np.nan)
-        np.divide(self.counts[:, 1], n_ts, out=out, where=n_ts > 0)
-        return out
+        return tuple(row[1] / n if n else math.nan for row, n in zip(self.counts, self.n_ts))
 
     @property
-    def sampling_fractions(self) -> np.ndarray:
+    def sampling_fractions(self) -> tuple[tuple[float, float], ...]:
         """Realised per-cell fractions ``N_Tsi / N_si`` (NaN for empty cells)."""
         if self.n_si is None:
             raise InvalidSpec("sampling fractions need the subpopulation sizes n_si")
-        out = np.full(self.counts.shape, np.nan)
-        np.divide(self.counts, self.n_si, out=out, where=self.n_si > 0)
-        return out
+        return tuple(
+            tuple(c / size if size else math.nan for c, size in zip(row, sizes))
+            for row, sizes in zip(self.counts, self.n_si)
+        )
 
 
 def draw_outcome(spec: PopulationSpec, rng) -> TestingOutcome:
     """Simulate one testing round: independent ``Bin(N_si, pi_si)`` per cell."""
-    gen = as_generator(rng)
-    counts = gen.binomial(spec.n_si, spec.pi)
+    from .rng import as_generator
+
+    counts = as_generator(rng).binomial(spec.n_si, spec.pi)
     return TestingOutcome(counts=counts, n=spec.n, n_si=spec.n_si)
 
 
@@ -127,8 +128,9 @@ def draw_count_matrices(spec: PopulationSpec, rng, size: int) -> np.ndarray:
     Returns an ``(size, S, 2)`` array of counts drawn from a single stream;
     intended for moment checks and fuzzing, not for replicate isolation.
     """
-    gen = as_generator(rng)
-    return gen.binomial(spec.n_si, spec.pi, size=(size, spec.s, 2))
+    from .rng import as_generator
+
+    return as_generator(rng).binomial(spec.n_si, spec.pi, size=(size, spec.s, 2))
 
 
 def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float]]:
@@ -141,7 +143,6 @@ def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float
     if spec.n > ENUMERATION_LIMIT:
         raise TooLarge(f"exact enumeration supports N <= {ENUMERATION_LIMIT}, got N = {spec.n}")
     cell_pmfs = []
-    shape = (spec.s, 2)
     for s in range(spec.s):
         for i in range(2):
             size = int(spec.n_si[s, i])
@@ -152,6 +153,6 @@ def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float
         prob = 1.0
         for pmf, k in zip(cell_pmfs, combo):
             prob *= pmf[k]
-        counts = np.array(combo, dtype=np.int64).reshape(shape)
+        counts = tuple(zip(combo[::2], combo[1::2]))
         outcomes.append((TestingOutcome(counts=counts, n=spec.n, n_si=spec.n_si), float(prob)))
     return outcomes

@@ -11,7 +11,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from prevbias import InvalidSpec, Mechanism, PopulationSpec, PrevBiasError, SimplexSlab
+from prevbias import (
+    EmptyStratum,
+    InvalidSpec,
+    Mechanism,
+    PopulationSpec,
+    PrevBiasError,
+    SimplexSlab,
+    VarianceEstimates,
+)
 from prevbias.rng import as_generator
 
 # Base two-class population: shares rho[s][i] with s = symptom level,
@@ -222,7 +230,7 @@ def expected_shares(slab: SimplexSlab, rng=None, n_samples: int = 4096) -> Share
     if slab.is_degenerate:
         zeros = np.zeros(slab.s)
         return ShareEstimate(
-            estimate=slab.lower.copy(), stderr=zeros, n_samples=0, acceptance_rate=1.0
+            estimate=np.array(slab.lower), stderr=zeros, n_samples=0, acceptance_rate=1.0
         )
     if rng is None:
         raise InvalidSpec("a non-degenerate region needs an RngStream for integration")
@@ -284,3 +292,78 @@ def random_integer_spec(rng, n=None, s_count=None, pi_mode="free"):
     else:
         pi = rng.uniform(0.05, 1.0, size=(s_count, 2))
     return PopulationSpec(n=n, rho=rho, pi=pi)
+
+
+# Helpers the package dropped because only tests called them.
+
+
+def sample_fractions(outcome):
+    """Observed class fractions in the sample, ``N_Ts / N_T``."""
+    return [n_ts / outcome.n_t for n_ts in outcome.n_ts]
+
+
+def covid_slab(n, n_t, n_t1):
+    """Two-class bounds implied by convenience sampling of symptomatics,
+    ``N_T1 / N <= rho_1 <= N_T1 / N_T``; their centroid is ``covid_shares``."""
+    a1 = n_t1 / n
+    b1 = n_t1 / n_t
+    return SimplexSlab(lower=np.array([1.0 - b1, a1]), upper=np.array([1.0 - a1, b1]))
+
+
+# The numpy plug-in variances that the one-shot estimators used before they
+# moved to Python floats: the oracle that `plugin_variances` and
+# `mechanism_plugin_inputs` are held to (bit for bit below eight classes,
+# where numpy sums left to right).
+
+
+def oracle_plugin_variances(outcome, pi_hat_s, rho_hat_s, rho_bar_hat_s=None):
+    pi_hat = np.asarray(pi_hat_s, dtype=float)
+    rho_hat = np.asarray(rho_hat_s, dtype=float)
+    rho_bar = rho_hat if rho_bar_hat_s is None else np.asarray(rho_bar_hat_s, dtype=float)
+    s_count = outcome.s
+    for name, vec in (("pi_hat_s", pi_hat), ("rho_hat_s", rho_hat), ("rho_bar_hat_s", rho_bar)):
+        if vec.shape != (s_count,):
+            raise InvalidSpec(f"{name} must have one entry per symptom class")
+
+    active = rho_hat > 0.0
+    counts = np.array(outcome.counts, dtype=np.int64)
+    n_ts = counts.sum(axis=1)
+    missing = [s for s in range(s_count) if active[s] and n_ts[s] == 0]
+    if missing:
+        raise EmptyStratum(missing)
+    if np.any(pi_hat[active] <= 0.0):
+        raise InvalidSpec("pi_hat must be positive on positively weighted classes")
+
+    p0s_hat = np.zeros(s_count)
+    np.divide(counts[:, 1], n_ts, out=p0s_hat, where=n_ts > 0)
+    degenerate = bool(np.any((p0s_hat[active] == 0.0) | (p0s_hat[active] == 1.0)))
+
+    r = np.where(active, rho_hat, 0.0)
+    rb = np.where(active, rho_bar, 0.0)
+    pi_safe = np.where(active, pi_hat, 1.0)
+    d = float((r * pi_safe).sum())
+    if d <= 0.0:
+        raise InvalidSpec("total estimated testing mass must be positive")
+
+    noise = p0s_hat * (1.0 - p0s_hat)
+    p_tilde0 = float((r * pi_safe * p0s_hat).sum() / d)
+    v1 = float((r * pi_safe * (1.0 - pi_safe) * noise).sum() / d**2)
+    v2 = float((r * pi_safe * (1.0 - pi_safe) * (p0s_hat - p_tilde0) ** 2).sum() / d**2)
+    odds = (1.0 - pi_safe) / pi_safe
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio3 = np.where(active, rb**2 / np.where(active, r, 1.0), 0.0)
+        tilde = r * pi_safe / d
+        ratio4 = np.where(active, tilde * rb / np.where(active, r, 1.0), 0.0)
+    v3 = float((ratio3 * odds * noise).sum())
+    v4 = float((ratio4 * odds * noise).sum())
+    return VarianceEstimates(v1=v1, v2=v2, v3=v3, v4=v4, degenerate=degenerate)
+
+
+def oracle_plugin_inputs(outcome, mechanism):
+    n_ts = np.array(outcome.n_ts, dtype=np.int64)
+    rho_hat = np.asarray(mechanism.shares(outcome.n, n_ts), dtype=float)
+    if mechanism.kind == "mcar":
+        return np.full(outcome.s, outcome.n_t / outcome.n, dtype=float), rho_hat
+    pi_hat = np.full(outcome.s, np.nan)
+    np.divide(n_ts, outcome.n * rho_hat, out=pi_hat, where=rho_hat > 0)
+    return pi_hat, rho_hat

@@ -49,7 +49,7 @@ from prevbias.scenarios import (
     mnar_scenario,
 )
 
-from conftest import expected_shares, oracle_mcar_mse
+from conftest import covid_slab, expected_shares, oracle_mcar_mse
 
 BASE_RHO = (("0.75", "0.05"), ("0.05", "0.15"))
 PI_MAR = [[0.1, 0.1], [0.9, 0.9]]
@@ -257,7 +257,7 @@ def test_c5_exact_conditional_laws():
             denom = 0.0
             for outcome, prob in outcomes:
                 if int(outcome.n_ts[s]) == t:
-                    key = int(outcome.counts[s, 1])
+                    key = int(outcome.counts[s][1])
                     mass[key] = mass.get(key, 0.0) + prob
                     denom += prob
             if denom < 1e-12:
@@ -331,7 +331,7 @@ def test_c8_maxent_consistency():
             n_t = int(rng.integers(max(2, n // 5), max(3, (4 * n) // 5)))
             n_t1 = int(rng.integers(max(1, n_t // 10), n_t + 1))
         closed_form = covid_shares(n, n_t, n_t1)
-        slab = SimplexSlab.covid(n, n_t, n_t1)
+        slab = covid_slab(n, n_t, n_t1)
         est = expected_shares(slab, RngStream(880, case), n_samples=500)
         if slab.is_degenerate:
             assert np.allclose(est.estimate, closed_form, atol=1e-12)

@@ -199,7 +199,7 @@ class TestRun:
         def broken_engine(cfg, threads=None):
             raise RuntimeError("engine failed")
 
-        monkeypatch.setattr("prevbias.cli.run_experiment", broken_engine)
+        monkeypatch.setattr("prevbias.experiments.run_experiment", broken_engine)
         config = small_config(tmp_path)
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err

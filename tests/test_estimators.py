@@ -26,13 +26,12 @@ from prevbias import (
     p0_hat_general,
     p0_hat_mar,
     p0_hat_maxent,
-    p0_hat_mcar,
     p_hat,
     population_prevalence,
     share_weighted_p0,
 )
 
-from conftest import MNAR_CORRECTED_LIMIT, MNAR_P, PI_MAR, base_spec
+from conftest import MNAR_CORRECTED_LIMIT, MNAR_P, PI_MAR, base_spec, sample_fractions
 
 REFERENCE_COUNTS = Outcome(counts=[[380, 20], [40, 60]], n=10_000)
 
@@ -87,7 +86,7 @@ class TestGeneralCorrection:
         p0 = population_prevalence(spec)
         checked = 0
         for outcome, _ in enumerate_outcomes(spec):
-            if np.all(outcome.counts > 0):
+            if np.all(np.array(outcome.counts) > 0):
                 estimate = p0_hat_general(outcome, outcome.sampling_fractions)
                 assert estimate == pytest.approx(p0, abs=1e-12)
                 checked += 1
@@ -95,9 +94,6 @@ class TestGeneralCorrection:
 
 
 class TestKnownShareCorrection:
-    def test_uniform_testing_estimate_is_the_positive_rate(self):
-        assert p0_hat_mcar(REFERENCE_COUNTS) == p_hat(REFERENCE_COUNTS)
-
     def test_reference_shares(self):
         out = Outcome(counts=[[380, 20], [25, 75]], n=10_000)
         assert p0_hat_mar(out, (0.8, 0.2)) == pytest.approx(
@@ -129,7 +125,7 @@ class TestKnownShareCorrection:
         kept_mean = 0.0
         discarded_mass = 0.0
         for outcome, prob in enumerate_outcomes(spec):
-            if np.all(outcome.n_ts > 0):
+            if np.all(np.array(outcome.n_ts) > 0):
                 kept_mean += prob * p0_hat_mar(outcome, rho_s)
                 kept_mass += prob
             else:
@@ -142,7 +138,7 @@ class TestKnownShareCorrection:
 class TestBoundedShareCorrection:
     def test_reference_two_class_value(self):
         out = Outcome(counts=[[380, 20], [40, 60]], n=1000)
-        assert out.n_t == 500 and out.n_ts.tolist() == [400, 100]
+        assert out.n_t == 500 and list(out.n_ts) == [400, 100]
         assert p0_hat_maxent(out) == pytest.approx(0.05 * 0.85 + 0.6 * 0.15, abs=1e-15)
 
     def test_closed_form_equals_share_pipeline(self):
@@ -152,8 +148,8 @@ class TestBoundedShareCorrection:
             out = Outcome(counts=counts, n=int(counts.sum() * 3))
             direct = p0_hat_maxent(out)
             shares = covid_shares(out.n, out.n_t, int(out.n_ts[1]))
-            two_term = (out.counts[0, 1] / out.n_ts[0]) * shares[0] + (
-                out.counts[1, 1] / out.n_ts[1]
+            two_term = (out.counts[0][1] / out.n_ts[0]) * shares[0] + (
+                out.counts[1][1] / out.n_ts[1]
             ) * shares[1]
             assert direct == pytest.approx(two_term, abs=1e-12)
             assert direct == pytest.approx(share_weighted_p0(out, shares), abs=0)
@@ -211,7 +207,7 @@ class TestActiveInfoEstimates:
 class TestConditionalTargets:
     def test_expected_class_mix_reproduces_testing_prevalence(self, spec_mar):
         out = Outcome(counts=[[76, 4], [30, 150]], n=1000, n_si=spec_mar.n_si)
-        assert out.rho_ts.tolist() == pytest.approx([80 / 260, 180 / 260], abs=1e-15)
+        assert sample_fractions(out) == pytest.approx([80 / 260, 180 / 260], abs=1e-15)
         p_bar, _ = conditional_targets(spec_mar, out)
         assert p_bar == pytest.approx(float(7) / 13, abs=1e-12)
 
@@ -225,7 +221,7 @@ class TestConditionalTargets:
     def test_zero_information_when_mix_matches_population(self):
         spec = base_spec(PI_MAR)
         out = Outcome(counts=[[200, 8], [10, 42]], n=1000, n_si=spec.n_si)
-        assert out.rho_ts.tolist() == [0.8, 0.2]
+        assert sample_fractions(out) == [0.8, 0.2]
         p_bar, i_bar = conditional_targets(spec, out)
         assert p_bar == pytest.approx(0.2, abs=1e-12)
         assert i_bar == pytest.approx(0.0, abs=1e-12)

@@ -14,7 +14,7 @@ from prevbias import (
 )
 from prevbias.maxent import MAX_FREE_CLASSES
 
-from conftest import RejectionStarvation, expected_shares, oracle_three_class_centroid
+from conftest import RejectionStarvation, covid_slab, expected_shares, oracle_three_class_centroid
 
 
 class TestSlab:
@@ -23,6 +23,10 @@ class TestSlab:
             SimplexSlab([0.5, -0.1], [0.9, 0.5])
         with pytest.raises(InvalidSpec):
             SimplexSlab([0.5, 0.6], [0.9, 0.5])
+
+    def test_nan_bounds_rejected(self):
+        with pytest.raises(InvalidSpec):
+            SimplexSlab([float("nan"), 0.5], [float("nan"), 0.6])
 
     def test_empty_region_detected(self):
         with pytest.raises(EmptyRegion):
@@ -88,7 +92,7 @@ class TestMeanShares:
             if not lower.sum() < 1.0 < upper.sum():
                 continue
             exact = oracle_three_class_centroid(lower, upper)
-            assert mean_shares(SimplexSlab(lower, upper)).tolist() == [float(x) for x in exact]
+            assert list(mean_shares(SimplexSlab(lower, upper))) == [float(x) for x in exact]
             checked += 1
 
     @pytest.mark.parametrize(
@@ -104,7 +108,7 @@ class TestMeanShares:
         exact = mean_shares(slab)
         est = expected_shares(slab, RngStream(12, len(lower)), n_samples=40_000)
         assert np.all(np.abs(est.estimate - exact) <= 4.0 * est.stderr)
-        assert exact.sum() == pytest.approx(1.0, abs=1e-15)
+        assert sum(exact) == pytest.approx(1.0, abs=1e-15)
 
     def test_fixed_class_keeps_its_share(self):
         # class 0 is fixed at 0.25; the rest is the segment rho_1 in [0.1, 0.55]
@@ -116,13 +120,13 @@ class TestMeanShares:
     def test_point_regions_return_the_bound(self):
         # exact sum(lower) exceeds 1 and exact sum(upper) falls short of 1,
         # each within the slab's tolerance
-        assert mean_shares(SimplexSlab([0.8, 0.2], [0.9, 0.3])).tolist() == [0.8, 0.2]
-        assert mean_shares(SimplexSlab([0.5, 0.1], [0.7, 0.3])).tolist() == [0.7, 0.3]
+        assert list(mean_shares(SimplexSlab([0.8, 0.2], [0.9, 0.3]))) == [0.8, 0.2]
+        assert list(mean_shares(SimplexSlab([0.5, 0.1], [0.7, 0.3]))) == [0.7, 0.3]
 
     def test_thin_region_is_exact(self):
         # a float sum of the alternating terms breaks down here
         shares = mean_shares(SimplexSlab([0.0] * 5, [0.2 + 1e-6] * 5))
-        assert shares.tolist() == [0.2] * 5
+        assert list(shares) == [0.2] * 5
 
     def test_permutation_equivariance_is_exact(self):
         rng = np.random.default_rng(43)
@@ -133,7 +137,7 @@ class TestMeanShares:
                 continue
             shares = mean_shares(SimplexSlab(lower, upper))
             perm = rng.permutation(4)
-            assert mean_shares(SimplexSlab(lower[perm], upper[perm])).tolist() == shares[perm].tolist()
+            assert list(mean_shares(SimplexSlab(lower[perm], upper[perm]))) == [shares[i] for i in perm]
 
     def test_free_class_cap(self):
         s = MAX_FREE_CLASSES + 1
@@ -141,7 +145,7 @@ class TestMeanShares:
             mean_shares(SimplexSlab([0.0] * s, [1.0] * s))
         # fixed classes do not count against the cap
         shares = mean_shares(SimplexSlab([0.0] * s, [1.0] * (s - 1) + [0.0]))
-        assert shares.tolist() == [1.0 / (s - 1)] * (s - 1) + [0.0]
+        assert list(shares) == [1.0 / (s - 1)] * (s - 1) + [0.0]
 
 
 class TestCovidShares:
@@ -173,5 +177,5 @@ class TestCovidShares:
             shares = covid_shares(n, n_t, n_t1)
             midpoint = 0.5 * (n_t1 / n + n_t1 / n_t)
             assert shares[1] == pytest.approx(midpoint, abs=1e-12)
-            exact = mean_shares(SimplexSlab.covid(n, n_t, n_t1))
+            exact = mean_shares(covid_slab(n, n_t, n_t1))
             assert exact == pytest.approx(shares, abs=1e-12)

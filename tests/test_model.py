@@ -166,8 +166,8 @@ class TestMechanismShares:
         mar = Mechanism.mar(["0.7", "0.3"])
         assert mar.shares(1000, [10, 20]) is mar.rho_s
         bounded = Mechanism.maxent([0.45, 0.15, 0.05], [0.65, 0.35, 0.25])
-        assert bounded.rho_s.tolist() == mean_shares(bounded.slab).tolist()
-        assert not bounded.rho_s.flags.writeable
+        assert bounded.rho_s == mean_shares(bounded.slab)
+        assert isinstance(bounded.rho_s, tuple)
         assert bounded.shares(1000, np.zeros((4, 3), dtype=int)) is bounded.rho_s
         with pytest.raises(InvalidSpec, match="do not match the number of symptom classes"):
             bounded.shares(1000, [10, 20])
@@ -180,7 +180,7 @@ class TestMechanismShares:
     def test_maxent_without_bounds_uses_the_closed_form(self):
         mech = Mechanism.maxent()
         assert mech.rho_s is None
-        assert mech.shares(1000, [200, 100]).tolist() == covid_shares(1000, 300, 100).tolist()
+        assert mech.shares(1000, [200, 100]) == covid_shares(1000, 300, 100)
 
     def test_closed_form_errors_come_in_a_fixed_order(self):
         mech = Mechanism.maxent()

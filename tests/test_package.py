@@ -1,0 +1,101 @@
+"""The package surface: what `import prevbias` loads, what it exports, and the
+README quickstart.
+
+`import prevbias` and `prevbias estimate` compute on Python numbers and load
+no numpy; the study engine's names are imported on first use.
+"""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import prevbias
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the export list before the estimators moved off numpy, less the helper only
+# tests called (`p0_hat_mcar`, the biased estimate under another name)
+EXPORTS = [
+    "AsymptoticQuantities", "BoundaryEstimate", "ConfidenceInterval", "DivisionByZeroWeight",
+    "EmptyRegion", "EmptySample", "EmptyStratum", "EstimateBundle", "ExperimentReport",
+    "InvalidSpec", "Mechanism", "MechanismMismatch", "NegativeVarianceCombination",
+    "PopulationSpec", "PrevBiasError", "ReportRow", "RngStream", "ScenarioConfig", "SimplexSlab",
+    "TestingOutcome", "TooLarge", "UndefinedActiveInfo", "VarianceEstimates", "ZeroTestingMass",
+    "active_info_estimates", "active_info_testing", "asymptotics", "build_bundle",
+    "ci_active_info", "ci_logit_prevalence", "conditional_targets", "corrected_prevalence_limit",
+    "coverage_scenario", "covid_shares", "draw_count_matrices", "draw_outcome",
+    "enumerate_outcomes", "errors", "estimators", "exact_quantities", "experiments",
+    "mar_scenario", "maxent", "mcar_scenario", "mean_shares", "mechanism_plugin_inputs",
+    "mnar_scenario", "model", "normal_quantile", "p0_hat_general", "p0_hat_mar", "p0_hat_maxent",
+    "p_hat", "plugin_variances", "population_prevalence", "rng", "run_experiment", "sampler",
+    "scenarios", "share_weighted_p0", "sigma_it", "sigma_p", "sigma_p0", "testing_prevalence",
+]
+
+# one count table per share-vector branch
+TABLES = {
+    "mcar": {"N": 10000, "counts": [[380, 20], [40, 60]], "mechanism": {"type": "mcar"}},
+    "mar": {
+        "N": 10000, "counts": [[380, 20], [40, 60]], "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]},
+    },
+    "maxent closed form": {"N": 1000, "counts": [[170, 30], [40, 60]], "mechanism": {"type": "maxent"}},
+    "bounded maxent": {
+        "N": 10000,
+        "counts": [[450, 50], [200, 100], [100, 100]],
+        "mechanism": {"type": "maxent", "lower": [0.45, 0.15, 0.05], "upper": [0.65, 0.35, 0.25]},
+    },
+}
+
+# runs the command line in process, then reports its status and every numpy
+# module loaded on stderr's last line
+CLI = """
+import sys
+from prevbias.cli import main
+try:
+    status = main(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+print(status, sorted(m for m in sys.modules if m.split(".")[0] == "numpy"), file=sys.stderr)
+"""
+
+
+def _run(code, *args, stdin=""):
+    proc = subprocess.run([sys.executable, "-c", code, *args], input=stdin, capture_output=True, text=True)
+    return proc.stdout, proc.stderr.strip().splitlines()[-1:]
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, prevbias; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert _run(code) == ("[]\n", [])
+
+
+def test_version_and_estimate_load_no_numpy():
+    assert _run(CLI, "--version")[1] == ["0 []"]
+    for branch, table in TABLES.items():
+        stdout, report = _run(CLI, "estimate", stdin=json.dumps(table))
+        assert report == ["0 []"], branch
+        reply = json.loads(stdout)
+        assert reply["warnings"] == [] and reply["sigma_p0"] > 0.0, branch
+
+
+def test_exports_resolve_and_load_the_engine_on_first_use():
+    assert sorted(prevbias.__all__) == EXPORTS
+    namespace = {}
+    for name in EXPORTS:
+        exec(f"from prevbias import {name}", namespace)
+        assert namespace[name] is getattr(prevbias, name)
+    assert prevbias.run_experiment is prevbias.experiments.run_experiment
+
+
+def test_readme_quickstart_runs_and_prints_what_its_comments_say(capsys):
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", README.read_text(), re.S)[1]
+    exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0.2"
+    assert lines[1].startswith("0.538")
+    assert round(float(lines[2]), 4) == 0.9904
+    assert lines[3].startswith("ConfidenceInterval(")
+    assert lines[4] == "(0.8, 0.2)"
+    assert re.fullmatch(r"\(0\.\d+, 0\.\d+\)", lines[5])
+    assert [line.split()[0] for line in lines[6:]] == ["1000", "10000", "100000", "1000000"]

@@ -17,7 +17,7 @@ from prevbias import (
     enumerate_outcomes,
 )
 
-from conftest import BASE_RHO, PI_MCAR
+from conftest import BASE_RHO, PI_MCAR, sample_fractions
 
 SMALL_RHO = (("0.4", "0.1"), ("0.3", "0.2"))  # N=20 -> sizes (8, 2, 6, 4), p0 = 0.3
 
@@ -31,8 +31,8 @@ class TestOutcomeType:
         out = Outcome(counts=[[380, 20], [40, 60]], n=10_000)
         assert out.n_t == 500
         assert out.n_t1 == 80
-        assert out.n_ts.tolist() == [400, 100]
-        assert out.rho_ts.tolist() == [0.8, 0.2]
+        assert list(out.n_ts) == [400, 100]
+        assert sample_fractions(out) == [0.8, 0.2]
 
     def test_counts_cannot_exceed_population(self):
         with pytest.raises(InvalidSpec, match="exceeds the population"):
@@ -143,7 +143,7 @@ class TestEnumeration:
                 total = 0.0
                 for outcome, prob in outcomes:
                     if int(outcome.n_ts[s]) == t:
-                        key = int(outcome.counts[s, 1])
+                        key = int(outcome.counts[s][1])
                         mass[key] = mass.get(key, 0.0) + prob
                         total += prob
                 law = stats.hypergeom(n_s, k_s, t)
