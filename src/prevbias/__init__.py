@@ -40,7 +40,7 @@ _EXPORTS = {
         "testing_prevalence",
     ),
     "rng": ("RngStream",),
-    "sampler": ("TestingOutcome", "draw_count_matrices", "draw_outcome", "enumerate_outcomes"),
+    "sampler": ("TestingOutcome", "draw_outcome", "enumerate_outcomes"),
     "scenarios": ("coverage_scenario", "mar_scenario", "mcar_scenario", "mnar_scenario"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
+from typing import NamedTuple
 
 from .errors import (
     BoundaryEstimate,
@@ -33,6 +34,10 @@ from .sampler import TestingOutcome
 
 _CLIP_TOL = 1e-9
 _NEGATIVE_CAUSE = "a symptom class was tested beyond N times its share"
+# logit-interval endpoints are clamped strictly inside (0, 1), here and in the
+# batched engine
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @lru_cache(maxsize=64)
@@ -54,8 +59,6 @@ def _expit(x: float) -> float:
 class ConfidenceInterval:
     lo: float
     hi: float
-    level: float
-    target: str
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -64,14 +67,11 @@ class ConfidenceInterval:
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
-
-@dataclass(frozen=True)
-class VarianceEstimates:
+class VarianceEstimates(NamedTuple):
     """Plug-in values of the variance components, with a degeneracy flag.
+    ``v[0]``..``v[3]`` are ``V1``..``V4``, as in the plain tuples that
+    :func:`sigma_p`, :func:`sigma_p0` and :func:`sigma_it` also take.
 
     ``degenerate`` is set when some class positive rate is exactly 0 or 1,
     which zeroes its noise contribution; downstream interval coverage then
@@ -84,23 +84,15 @@ class VarianceEstimates:
     v4: float
     degenerate: bool = False
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.v1, self.v2, self.v3, self.v4)
 
-
-def plugin_variances(
-    outcome: TestingOutcome,
-    pi_hat_s,
-    rho_hat_s,
-    rho_bar_hat_s=None,
-) -> VarianceEstimates:
+def plugin_variances(outcome: TestingOutcome, pi_hat_s, rho_hat_s) -> VarianceEstimates:
     """Evaluate the variance components at the estimated quantities.
 
-    ``rho_hat_s`` plays the role of the true class shares and, unless
-    ``rho_bar_hat_s`` is given, also of the limiting weights (which is the
-    right choice under known shares, where both equal ``rho_s``).  Classes
-    with zero weight are ignored; positively weighted classes must contain
-    tested individuals and carry a positive ``pi_hat``.
+    ``rho_hat_s`` plays the role of both the true class shares and the
+    limiting weights, which is the right choice under known shares, where
+    both equal ``rho_s``.  Classes with zero weight are ignored; positively
+    weighted classes must contain tested individuals and carry a positive
+    ``pi_hat``.
 
     Every sum over classes is :func:`prevbias.maxent.ordered_sum`, and a
     class with zero weight adds exact zeros to it.
@@ -108,7 +100,6 @@ def plugin_variances(
     s_count = outcome.s
     pi_hat = _floats(pi_hat_s, s_count, "pi_hat_s")
     rho_hat = _floats(rho_hat_s, s_count, "rho_hat_s")
-    rho_bar = rho_hat if rho_bar_hat_s is None else _floats(rho_bar_hat_s, s_count, "rho_bar_hat_s")
 
     active = [w > 0.0 for w in rho_hat]
     n_ts = outcome.n_ts
@@ -122,7 +113,6 @@ def plugin_variances(
     degenerate = any(on and (p == 0.0 or p == 1.0) for on, p in zip(active, p0s_hat))
 
     r = [w if on else 0.0 for on, w in zip(active, rho_hat)]
-    rb = [w if on else 0.0 for on, w in zip(active, rho_bar)]
     pi_safe = [p if on else 1.0 for on, p in zip(active, pi_hat)]
     mass = [w * p for w, p in zip(r, pi_safe)]
     d = ordered_sum(mass)
@@ -135,8 +125,10 @@ def plugin_variances(
     v1 = ordered_sum(m * e for m, e in zip(spread, noise)) / d**2
     v2 = ordered_sum(m * ((p - p_tilde0) * (p - p_tilde0)) for m, p in zip(spread, p0s_hat)) / d**2
     odds = [(1.0 - p) / p for p in pi_safe]
-    ratio3 = [b * b / w if on else 0.0 for on, w, b in zip(active, r, rb)]
-    ratio4 = [m / d * b / w if on else 0.0 for on, m, w, b in zip(active, mass, r, rb)]
+    # the limiting weight times itself over the share, as the general
+    # formula has it: w * w / w and w / w need not round to w and 1
+    ratio3 = [w * w / w if on else 0.0 for on, w in zip(active, r)]
+    ratio4 = [m / d * w / w if on else 0.0 for on, m, w in zip(active, mass, r)]
     v3 = ordered_sum(q * o * e for q, o, e in zip(ratio3, odds, noise))
     v4 = ordered_sum(q * o * e for q, o, e in zip(ratio4, odds, noise))
     return VarianceEstimates(v1=v1, v2=v2, v3=v3, v4=v4, degenerate=degenerate)
@@ -156,12 +148,7 @@ def mechanism_plugin_inputs(outcome: TestingOutcome, mechanism: Mechanism) -> tu
     return tuple(c / (n * w) if w > 0 else math.nan for c, w in zip(outcome.n_ts, rho_hat)), rho_hat
 
 
-def ci_logit_prevalence(
-    est: float,
-    sigma: float,
-    alpha: float,
-    target: str = "p0",
-) -> ConfidenceInterval:
+def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInterval:
     """Back-transformed log-odds interval for a prevalence estimate.
 
     Endpoints are ``logit^{-1}(logit(est) -/+ lambda * sigma / (est(1-est)))``
@@ -175,13 +162,13 @@ def ci_logit_prevalence(
     lam = normal_quantile(alpha)
     half_width = lam * sigma / (est * (1.0 - est))
     if half_width == 0.0:
-        return ConfidenceInterval(lo=est, hi=est, level=1.0 - alpha, target=target)
+        return ConfidenceInterval(lo=est, hi=est)
     center = math.log(est / (1.0 - est))
     # expit rounds to exactly 0/1 for huge half-widths; keep the endpoints
     # strictly inside the unit interval
-    lo = min(max(_expit(center - half_width), math.nextafter(0.0, 1.0)), est)
-    hi = max(min(_expit(center + half_width), math.nextafter(1.0, 0.0)), est)
-    return ConfidenceInterval(lo=lo, hi=hi, level=1.0 - alpha, target=target)
+    lo = min(max(_expit(center - half_width), _ABOVE_ZERO), est)
+    hi = max(min(_expit(center + half_width), _BELOW_ONE), est)
+    return ConfidenceInterval(lo=lo, hi=hi)
 
 
 def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInterval:
@@ -189,16 +176,11 @@ def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInte
     if sigma_i < 0.0:
         raise InvalidSpec(f"sigma must be nonnegative, got {sigma_i!r}")
     lam = normal_quantile(alpha)
-    return ConfidenceInterval(
-        lo=i_hat - lam * sigma_i,
-        hi=i_hat + lam * sigma_i,
-        level=1.0 - alpha,
-        target="i_plus_t",
-    )
+    return ConfidenceInterval(lo=i_hat - lam * sigma_i, hi=i_hat + lam * sigma_i)
 
 
 def _bracket(v, p: float, p_bar0: float, conditional: bool) -> float:
-    v1, v2, v3, v4 = v.as_tuple() if isinstance(v, VarianceEstimates) else tuple(v)
+    v1, v2, v3, v4 = v[0], v[1], v[2], v[3]
     top = v1 if conditional else v1 + v2
     value = top / p**2 + v3 / p_bar0**2 - 2.0 * v4 / (p * p_bar0)
     if value < -_CLIP_TOL:
@@ -232,16 +214,14 @@ def _root(variance: float, name: str) -> float:
 def sigma_p(v, n: int) -> float:
     """Standard error of the biased estimate, ``sqrt((V1 + V2) / N)``;
     :class:`NegativeVarianceCombination` when ``(V1 + V2) / N < 0``."""
-    v1, v2 = (v.v1, v.v2) if isinstance(v, VarianceEstimates) else (v[0], v[1])
     if n < 1:
         raise InvalidSpec("population size must be at least 1")
-    return _root((v1 + v2) / n, "(V1 + V2) / N")
+    return _root((v[0] + v[1]) / n, "(V1 + V2) / N")
 
 
 def sigma_p0(v, n: int) -> float:
     """Standard error of the corrected estimate, ``sqrt(V3 / N)``;
     :class:`NegativeVarianceCombination` when ``V3 / N < 0``."""
-    v3 = v.v3 if isinstance(v, VarianceEstimates) else v[2]
     if n < 1:
         raise InvalidSpec("population size must be at least 1")
-    return _root(v3 / n, "V3 / N")
+    return _root(v[2] / n, "V3 / N")

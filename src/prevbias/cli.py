@@ -14,12 +14,10 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-import traceback
 from pathlib import Path
 
 from . import __version__
@@ -125,7 +123,7 @@ def cmd_estimate(args) -> int:
             ("ci_p0", bundle.p0_hat, result["sigma_p0"]),
         ):
             try:
-                ci = ci_logit_prevalence(est, sig, alpha, target=target[3:])
+                ci = ci_logit_prevalence(est, sig, alpha)
                 result[target] = [ci.lo, ci.hi]
             except BoundaryEstimate:
                 result[target] = None
@@ -146,6 +144,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    import hashlib
+
     from .experiments import run_experiment  # numpy, which `estimate` does without
 
     cfg, raw = load_scenario(args.config)
@@ -153,7 +153,7 @@ def cmd_run(args) -> int:
         from dataclasses import replace
 
         cfg = replace(cfg, seed=int(args.seed))
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -224,16 +224,15 @@ def main(argv=None) -> int:
         # Python flushes stdout again at exit: send that flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidSpec as exc:
+    except (FileNotFoundError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrevBiasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if args.command == "estimate" else 3
     except Exception as exc:
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 
 from .errors import InvalidSpec
-from .model import Mechanism, _coerce_cell, _coerce_whole, _pairs
+from .model import Mechanism, _coerce_cell, _coerce_whole
 from .sampler import TestingOutcome
 
 
@@ -104,9 +104,7 @@ def parse_count_table(doc: dict):
     Returns ``(outcome, mechanism, alpha)``.
     """
     n = _coerce_whole(_require(doc, "N", "count table"), "N", low=1)
-    rows = _pairs(_require(doc, "counts", "count table"), "counts")
-    counts = [[_coerce_whole(c, f"counts[{s},{i}]") for i, c in enumerate(row)] for s, row in enumerate(rows)]
-    outcome = TestingOutcome(counts=counts, n=n)
+    outcome = TestingOutcome(counts=_require(doc, "counts", "count table"), n=n)
     mechanism = parse_mechanism(_require(doc, "mechanism", "count table"))
     alpha = float(_coerce_cell(doc.get("alpha", 0.05), "alpha"))
     if not 0.0 < alpha <= 1.0:

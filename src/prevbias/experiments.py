@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _NEGATIVE_CAUSE, _expit, normal_quantile
+from .asymptotics import _ABOVE_ZERO, _BELOW_ONE, _NEGATIVE_CAUSE, _expit, normal_quantile
 from .errors import InvalidSpec, NegativeVarianceCombination
 from .model import (
     MAXENT,
@@ -46,10 +46,6 @@ from .model import (
     population_prevalence,
 )
 from .rng import stream_generators
-
-# interval endpoints are clamped strictly inside (0, 1), as in ci_logit_prevalence
-_ABOVE_ZERO = math.nextafter(0.0, 1.0)
-_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,9 +262,9 @@ def _log_ratio(numerator: float, denominator: float) -> float:
     return math.nan
 
 
-def run_experiment(cfg: ScenarioConfig, threads: int | None = None) -> ExperimentReport:
-    """Run the scenario and aggregate every table in one pass.  ``threads``
-    is accepted and ignored: the draws run in one thread, in stream order."""
+def run_experiment(cfg: ScenarioConfig) -> ExperimentReport:
+    """Run the scenario and aggregate every table in one pass; the draws run
+    in one thread, in stream order."""
     mar_compatible = cfg.specs[0].is_mar
     rows = []
     fan = {name: [] for name in ("n", "rep", "p0_hat", "lo", "hi", "hit")}

@@ -115,10 +115,11 @@ def _pairs(values, name: str) -> list[list]:
     return rows
 
 
-def _coerce_matrix(values, name: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    """A (S, 2) matrix of numbers as exact values of :func:`_coerce_cell`."""
+def _coerce_matrix(values, name: str, read=_coerce_cell) -> tuple[tuple, ...]:
+    """A (S, 2) matrix with each entry read as ``name[s,i]``: exact values of
+    :func:`_coerce_cell`, or whole numbers with ``read=_coerce_whole``."""
     return tuple(
-        tuple(_coerce_cell(cell, f"{name}[{s},{i}]") for i, cell in enumerate(row))
+        tuple(read(cell, f"{name}[{s},{i}]") for i, cell in enumerate(row))
         for s, row in enumerate(_pairs(values, name))
     )
 

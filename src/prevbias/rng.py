@@ -1,14 +1,13 @@
 """Deterministic random-number streams keyed by (seed, stream id).
 
-Every stochastic routine in the package takes an :class:`RngStream` (or an
-already materialised :class:`numpy.random.Generator`).  Two streams with the
-same ``(seed, stream)`` pair produce bit-identical draws on every run,
-because the generator state is derived purely from those two integers through
-:class:`numpy.random.SeedSequence`.  Distinct stream ids give statistically
-independent streams, so each replicate of a study owns one stream and draws
-the same counts whatever else the run draws.
+Every stochastic routine in the package takes an :class:`RngStream`.  Two
+streams with the same ``(seed, stream)`` pair produce bit-identical draws on
+every run, because the generator state is derived purely from those two
+integers through :class:`numpy.random.SeedSequence`.  Distinct stream ids
+give statistically independent streams, so each replicate of a study owns one
+stream and draws the same counts whatever else the run draws.
 
-:func:`stream_generator` is the reference construction of a stream.
+:meth:`RngStream.generator` is the reference construction of a stream.
 :func:`stream_generators` reaches the same states for many streams at a
 fraction of the cost: it hashes every stream's SeedSequence pool in one
 vectorised pass, takes PCG64's two seeding steps in Python integers, and sets
@@ -62,14 +61,9 @@ class RngStream:
                 raise InvalidSpec(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
-        """Materialise a fresh generator positioned at the stream origin."""
-        return stream_generator(int(self.seed), int(self.stream))
-
-
-def stream_generator(seed: int, stream: int) -> np.random.Generator:
-    """The generator of stream ``(seed, stream)``, unchecked.  It is what
-    ``default_rng`` builds from the same SeedSequence, at a lower cost."""
-    return Generator(PCG64(SeedSequence((seed, stream))))
+        """A fresh generator positioned at the stream origin: what
+        ``default_rng`` builds from the same SeedSequence, at a lower cost."""
+        return Generator(PCG64(SeedSequence((int(self.seed), int(self.stream)))))
 
 
 def _hasher(const: int, mult: int):
@@ -122,7 +116,7 @@ def seed_states(seed: int, streams) -> np.ndarray:
 def stream_generators(seed: int, streams) -> Iterator[np.random.Generator]:
     """One reused generator, positioned in turn at the origin of stream
     ``(seed, s)`` for each ``s`` in ``streams`` (below 2**64): it draws what
-    ``stream_generator(seed, s)`` draws.  Each yielded generator is valid
+    ``RngStream(seed, s).generator()`` draws.  Each yielded generator is valid
     until the next one is requested.
 
     PCG64 seeds itself from ``generate_state(4, np.uint64)`` as
@@ -142,12 +136,3 @@ def stream_generators(seed: int, streams) -> Iterator[np.random.Generator]:
             "uinteger": 0,
         }
         yield generator
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream or a ready Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")

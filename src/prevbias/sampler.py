@@ -11,8 +11,8 @@ second at N = 10^6, so half a million take about 7-8 s, and the scalar
 binomial calls and the generator state setter are most of that time.
 
 A :class:`TestingOutcome` holds Python ints, so a count table is estimated
-without numpy; the draws import the numpy streams of :mod:`prevbias.rng` when
-they run.
+without numpy; a draw uses the numpy generator of the
+:class:`prevbias.rng.RngStream` it is given.
 """
 
 from __future__ import annotations
@@ -23,21 +23,9 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .errors import InvalidSpec, TooLarge
-from .model import PopulationSpec, _pairs
+from .model import PopulationSpec, _coerce_matrix, _coerce_whole
 
 ENUMERATION_LIMIT = 30
-
-
-def _count_matrix(values, name: str) -> tuple[tuple[int, int], ...]:
-    """A (S, 2) table of nonnegative whole counts as a tuple of int pairs;
-    numpy arrays and integer scalars are read too."""
-    rows = _pairs(values, name)
-    if any(isinstance(c, bool) or not isinstance(c, Integral) for row in rows for c in row):
-        raise InvalidSpec(f"{name} must hold whole numbers")
-    table = tuple((int(healthy), int(infected)) for healthy, infected in rows)
-    if any(c < 0 for row in table for c in row):
-        raise InvalidSpec(f"{name} must be nonnegative")
-    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +36,10 @@ class TestingOutcome:
     ``n_si`` (the subpopulation sizes, in the same layout) is known for
     simulated outcomes and enables the realised sampling fractions; it is
     ``None`` for user-supplied count tables where only the population total
-    ``n`` is known.  Per-class results are tuples.  Ratios of counts are
-    Python ``int / int``, correctly rounded at every size.
+    ``n`` is known.  Each count and size is a whole number read as the JSON
+    inputs read it (``3``, ``3.0`` and ``"3"`` agree).  Per-class results are
+    tuples.  Ratios of counts are Python ``int / int``, correctly rounded at
+    every size.
     """
 
     counts: tuple[tuple[int, int], ...]
@@ -57,7 +47,7 @@ class TestingOutcome:
     n_si: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        counts = _count_matrix(self.counts, "counts")
+        counts = _coerce_matrix(self.counts, "counts", _coerce_whole)
         if not isinstance(self.n, Integral) or self.n <= 0:
             raise InvalidSpec("population size must be a positive integer")
         n_t = sum(healthy + infected for healthy, infected in counts)
@@ -66,7 +56,7 @@ class TestingOutcome:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", int(self.n))
         if self.n_si is not None:
-            n_si = _count_matrix(self.n_si, "n_si")
+            n_si = _coerce_matrix(self.n_si, "n_si", _coerce_whole)
             if len(n_si) != len(counts):
                 raise InvalidSpec("n_si must match the shape of counts")
             for s, (row, sizes) in enumerate(zip(counts, n_si)):
@@ -115,22 +105,10 @@ class TestingOutcome:
 
 
 def draw_outcome(spec: PopulationSpec, rng) -> TestingOutcome:
-    """Simulate one testing round: independent ``Bin(N_si, pi_si)`` per cell."""
-    from .rng import as_generator
-
-    counts = as_generator(rng).binomial(spec.n_si, spec.pi)
+    """Simulate one testing round from the :class:`prevbias.rng.RngStream`
+    ``rng``: independent ``Bin(N_si, pi_si)`` per cell."""
+    counts = rng.generator().binomial(spec.n_si, spec.pi)
     return TestingOutcome(counts=counts, n=spec.n, n_si=spec.n_si)
-
-
-def draw_count_matrices(spec: PopulationSpec, rng, size: int) -> np.ndarray:
-    """Vectorised bulk variant of :func:`draw_outcome`.
-
-    Returns an ``(size, S, 2)`` array of counts drawn from a single stream;
-    intended for moment checks and fuzzing, not for replicate isolation.
-    """
-    from .rng import as_generator
-
-    return as_generator(rng).binomial(spec.n_si, spec.pi, size=(size, spec.s, 2))
 
 
 def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float]]:

@@ -20,7 +20,6 @@ from prevbias import (
     SimplexSlab,
     VarianceEstimates,
 )
-from prevbias.rng import as_generator
 
 # Base two-class population: shares rho[s][i] with s = symptom level,
 # i = infection status.  True prevalence 0.05 + 0.15 = 0.20.
@@ -237,7 +236,7 @@ def expected_shares(slab: SimplexSlab, rng=None, n_samples: int = 4096) -> Share
     if n_samples < 1:
         raise InvalidSpec("n_samples must be at least 1")
 
-    gen = as_generator(rng)
+    gen = rng.generator()
     alpha = np.ones(slab.s)
     accepted: list[np.ndarray] = []
     n_accepted = 0

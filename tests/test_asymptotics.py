@@ -64,7 +64,7 @@ class TestPluginVariances:
         out = Outcome(counts=[[5, 0], [7, 0]], n=100)
         v = plugin_variances(out, [0.1, 0.1], [0.5, 0.5])
         assert v.degenerate
-        assert v.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert v[:4] == (0.0, 0.0, 0.0, 0.0)
 
     def test_mixed_boundary_rates_keep_share_noise(self):
         # 0/1 class rates zero the within-class noise terms, but the
@@ -78,7 +78,7 @@ class TestPluginVariances:
     def test_census_class_has_zero_contribution(self):
         out = Outcome(counts=[[40, 10]], n=50)
         v = plugin_variances(out, [1.0], [1.0])
-        assert v.as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert v[:4] == (0.0, 0.0, 0.0, 0.0)
 
     def test_empty_weighted_class_rejected(self):
         out = Outcome(counts=[[5, 5], [0, 0]], n=100)

@@ -196,7 +196,7 @@ class TestRun:
         assert "not an integer" in proc.stderr
 
     def test_internal_error_prints_type_and_traceback(self, tmp_path, monkeypatch, capsys):
-        def broken_engine(cfg, threads=None):
+        def broken_engine(cfg):
             raise RuntimeError("engine failed")
 
         monkeypatch.setattr("prevbias.experiments.run_experiment", broken_engine)

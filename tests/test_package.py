@@ -15,8 +15,9 @@ import prevbias
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# the export list before the estimators moved off numpy, less the helper only
-# tests called (`p0_hat_mcar`, the biased estimate under another name)
+# the export list before the estimators moved off numpy, less the helpers only
+# tests called (`p0_hat_mcar`, the biased estimate under another name, and
+# `draw_count_matrices`, a bulk draw from one stream)
 EXPORTS = [
     "AsymptoticQuantities", "BoundaryEstimate", "ConfidenceInterval", "DivisionByZeroWeight",
     "EmptyRegion", "EmptySample", "EmptyStratum", "EstimateBundle", "ExperimentReport",
@@ -25,8 +26,8 @@ EXPORTS = [
     "TestingOutcome", "TooLarge", "UndefinedActiveInfo", "VarianceEstimates", "ZeroTestingMass",
     "active_info_estimates", "active_info_testing", "asymptotics", "build_bundle",
     "ci_active_info", "ci_logit_prevalence", "conditional_targets", "corrected_prevalence_limit",
-    "coverage_scenario", "covid_shares", "draw_count_matrices", "draw_outcome",
-    "enumerate_outcomes", "errors", "estimators", "exact_quantities", "experiments",
+    "coverage_scenario", "covid_shares", "draw_outcome", "enumerate_outcomes", "errors",
+    "estimators", "exact_quantities", "experiments",
     "mar_scenario", "maxent", "mcar_scenario", "mean_shares", "mechanism_plugin_inputs",
     "mnar_scenario", "model", "normal_quantile", "p0_hat_general", "p0_hat_mar", "p0_hat_maxent",
     "p_hat", "plugin_variances", "population_prevalence", "rng", "run_experiment", "sampler",

@@ -2,7 +2,7 @@
 
 :func:`prevbias.rng.stream_generators` re-implements SeedSequence's pool
 hashing and PCG64's seeding steps, so these tests hold it to
-:func:`prevbias.rng.stream_generator`, numpy's construction.  A numpy that
+:meth:`prevbias.RngStream.generator`, numpy's construction.  A numpy that
 seeds differently fails here rather than moving study outputs silently.
 """
 
@@ -13,7 +13,7 @@ from numpy.random import SeedSequence
 from prevbias import RngStream, draw_outcome, mar_scenario, mnar_scenario
 from prevbias.errors import InvalidSpec
 from prevbias.experiments import _draw_counts
-from prevbias.rng import seed_states, stream_generator, stream_generators
+from prevbias.rng import seed_states, stream_generators
 
 EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1]
 
@@ -79,7 +79,7 @@ def test_reused_generator_draws_what_each_stream_draws(seed):
     got = [[gen.binomial(n, p) for n, p in CELLS] for gen in stream_generators(seed, streams)]
     want = []
     for s in streams:
-        gen = stream_generator(seed, s)
+        gen = RngStream(seed, s).generator()
         want.append([gen.binomial(n, p) for n, p in CELLS])
     assert got == want
 
@@ -88,7 +88,7 @@ def test_reused_generator_matches_many_consecutive_streams():
     seed = 20240101
     streams = np.arange(2**32 - 1000, 2**32 + 1000, dtype=np.uint64)
     got = [gen.binomial(10**6, 0.37) for gen in stream_generators(seed, streams)]
-    assert got == [stream_generator(seed, int(s)).binomial(10**6, 0.37) for s in streams]
+    assert got == [RngStream(seed, int(s)).generator().binomial(10**6, 0.37) for s in streams]
 
 
 @pytest.mark.parametrize("scenario", [mar_scenario, mnar_scenario])

@@ -1,4 +1,4 @@
-"""Testing-round simulation: determinism, moments, and exact enumeration."""
+"""Testing-round simulation: the count table, determinism, and exact enumeration."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -12,7 +12,6 @@ from prevbias import (
     RngStream,
     TestingOutcome as Outcome,
     TooLarge,
-    draw_count_matrices,
     draw_outcome,
     enumerate_outcomes,
 )
@@ -33,6 +32,11 @@ class TestOutcomeType:
         assert out.n_t1 == 80
         assert list(out.n_ts) == [400, 100]
         assert sample_fractions(out) == [0.8, 0.2]
+        # every count follows the JSON number rule
+        assert Outcome(counts=[["3", 1.0], ["1e1", 2]], n=100).counts == ((3, 1), (10, 2))
+        for bad in (2.5, True, -1, "x"):
+            with pytest.raises(InvalidSpec, match=r"counts\[1,0\]"):
+                Outcome(counts=[[3, 1], [bad, 2]], n=100)
 
     def test_counts_cannot_exceed_population(self):
         with pytest.raises(InvalidSpec, match="exceeds the population"):
@@ -79,19 +83,6 @@ class TestDraw:
         a = draw_outcome(spec, RngStream(42, 0))
         b = draw_outcome(spec, RngStream(42, 1))
         assert not np.array_equal(a.counts, b.counts)
-
-    def test_mean_sampling_fraction_converges(self):
-        # law of large numbers on the per-cell tested fractions
-        spec = small_spec(pi=0.5)
-        counts = draw_count_matrices(spec, RngStream(7), size=200_000)
-        mean_fraction = counts.mean(axis=0) / spec.n_si
-        assert np.max(np.abs(mean_fraction - 0.5)) < 0.01
-
-    def test_mean_tested_share_matches_rho_pi(self):
-        spec = PopulationSpec(40, (("0.5", "0.25"), ("0.125", "0.125")), [[0.3, 0.6], [0.2, 0.9]])
-        counts = draw_count_matrices(spec, RngStream(11), size=100_000)
-        observed = counts.mean(axis=0) / spec.n
-        assert np.max(np.abs(observed - spec.rho * spec.pi)) < 0.01
 
 
 class TestEnumeration:
