@@ -34,8 +34,7 @@ from .sampler import TestingOutcome
 
 _CLIP_TOL = 1e-9
 _NEGATIVE_CAUSE = "a symptom class was tested beyond N times its share"
-# logit-interval endpoints are clamped strictly inside (0, 1), here and in the
-# batched engine
+# logit-interval endpoints are clamped strictly inside (0, 1)
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -159,16 +158,27 @@ def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInt
         raise InvalidSpec(f"sigma must be nonnegative, got {sigma!r}")
     if not 0.0 < est < 1.0:
         raise BoundaryEstimate(f"no logit interval for a boundary estimate {est!r}")
-    lam = normal_quantile(alpha)
-    half_width = lam * sigma / (est * (1.0 - est))
-    if half_width == 0.0:
-        return ConfidenceInterval(lo=est, hi=est)
-    center = math.log(est / (1.0 - est))
-    # expit rounds to exactly 0/1 for huge half-widths; keep the endpoints
-    # strictly inside the unit interval
-    lo = min(max(_expit(center - half_width), _ABOVE_ZERO), est)
-    hi = max(min(_expit(center + half_width), _BELOW_ONE), est)
+    half_width = normal_quantile(alpha) * sigma / (est * (1.0 - est))
+    (lo,), (hi,) = _logit_endpoints([est], [half_width])
     return ConfidenceInterval(lo=lo, hi=hi)
+
+
+def _logit_endpoints(ests: list, half_widths: list) -> tuple[list, list]:
+    """The endpoints ``logit^{-1}(logit(est) -/+ half_width)`` of each
+    estimate in (0, 1), as two lists; a zero half-width gives ``(est, est)``.
+    One call serves a whole batch of study replicates."""
+    los, his = [], []
+    for est, half_width in zip(ests, half_widths):
+        if half_width == 0.0:
+            los.append(est)
+            his.append(est)
+            continue
+        center = math.log(est / (1.0 - est))
+        # expit rounds to exactly 0/1 for huge half-widths; keep the endpoints
+        # strictly inside the unit interval
+        los.append(min(max(_expit(center - half_width), _ABOVE_ZERO), est))
+        his.append(max(min(_expit(center + half_width), _BELOW_ONE), est))
+    return los, his
 
 
 def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInterval:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 
 from .errors import InvalidSpec
-from .model import Mechanism, _coerce_cell, _coerce_whole
+from .model import Mechanism, _coerce_alpha, _coerce_whole
 from .sampler import TestingOutcome
 
 
@@ -106,7 +106,4 @@ def parse_count_table(doc: dict):
     n = _coerce_whole(_require(doc, "N", "count table"), "N", low=1)
     outcome = TestingOutcome(counts=_require(doc, "counts", "count table"), n=n)
     mechanism = parse_mechanism(_require(doc, "mechanism", "count table"))
-    alpha = float(_coerce_cell(doc.get("alpha", 0.05), "alpha"))
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
-    return outcome, mechanism, alpha
+    return outcome, mechanism, _coerce_alpha(doc.get("alpha", 0.05))

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _ABOVE_ZERO, _BELOW_ONE, _NEGATIVE_CAUSE, _expit, normal_quantile
+from .asymptotics import _NEGATIVE_CAUSE, _logit_endpoints, normal_quantile
 from .errors import InvalidSpec, NegativeVarianceCombination
 from .model import (
     MAXENT,
@@ -40,7 +40,7 @@ from .model import (
     Mechanism,
     PopulationSpec,
     _cells,
-    _coerce_cell,
+    _coerce_alpha,
     _coerce_matrix,
     _coerce_whole,
     population_prevalence,
@@ -74,9 +74,7 @@ class ScenarioConfig:
         cells = _cells(self.n_grid, "n_grid")
         grid = tuple(_coerce_whole(n, f"n_grid[{k}]", low=1) for k, n in enumerate(cells))
         specs = tuple(PopulationSpec(n=n, rho=rho, pi=self.pi) for n in grid)
-        alpha = float(_coerce_cell(self.alpha, "alpha"))
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
+        alpha = _coerce_alpha(self.alpha)
         label = self.label
         if not isinstance(label, str) or label in ("", ".", "..") or any(c in label for c in "/\\\0"):
             raise InvalidSpec(f"label must be a plain file-name stem, got {label!r}")
@@ -163,8 +161,9 @@ def _draw_counts(cfg: ScenarioConfig) -> list[np.ndarray]:
 
 def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha: float) -> ReplicateColumns:
     """Estimates, plug-in standard errors and logit intervals of every
-    replicate in an ``(R, S, 2)`` counts array at once, weighted by the
-    mechanism's share vector (:meth:`Mechanism.shares`).
+    replicate in an ``(R, S, 2)`` counts array at once, weighted as
+    :meth:`Mechanism.shares` weights: by each replicate's sample fractions
+    under mcar, else by the mechanism's fixed ``rho_s``.
 
     Bit for bit what :func:`p_hat`, :func:`share_weighted_p0`,
     :func:`mechanism_plugin_inputs`, :func:`plugin_variances`,
@@ -187,17 +186,20 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     with np.errstate(divide="ignore", invalid="ignore"):
         p_h = positives.sum(axis=1) / n_t
         rates = positives / n_ts
-        w = np.asarray(mechanism.shares(n, n_ts))  # (R, S) sample fractions under mcar, else (S,)
-        rho = np.broadcast_to(w, n_ts.shape)
-        ok = (n_t > 0) & ~np.any((rho > 0.0) & (n_ts == 0), axis=1)
         if mechanism.kind == MCAR:
+            rho = n_ts / n_t[:, None]  # the sample fractions, one row per replicate
             p0_h = p_h
             pi_hat = np.broadcast_to((n_t / n)[:, None], n_ts.shape)
         else:
+            if mechanism.rho_s is None or len(mechanism.rho_s) != n_ts.shape[1]:
+                raise InvalidSpec("the study engine needs one fixed share per symptom class")
+            w = np.asarray(mechanism.rho_s)
+            rho = np.broadcast_to(w, n_ts.shape)
             p0_h = np.zeros(len(counts))
             for s in np.flatnonzero(w > 0.0):  # class by class, as the scalar sum
                 p0_h = p0_h + w[s] * rates[:, s]
             pi_hat = n_ts / (n * w)
+        ok = (n_t > 0) & ~np.any((rho > 0.0) & (n_ts == 0), axis=1)
 
         # plugin_variances with rho_bar = rho_hat, reduced to V3
         active = rho > 0.0
@@ -226,22 +228,11 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         sigma = np.where(ok, sigma, np.nan)
         interior = ok & (0.0 < p0_h) & (p0_h < 1.0)
         half = normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h))
-        odds_est = p0_h / (1.0 - p0_h)
 
     lo = np.full(len(counts), np.nan)
     hi = lo.copy()
     idx = np.flatnonzero(interior)
-    lo_l, hi_l = [], []
-    for est, hw, ratio in zip(p0_h[idx].tolist(), half[idx].tolist(), odds_est[idx].tolist()):
-        if hw == 0.0:
-            lo_l.append(est)
-            hi_l.append(est)
-            continue
-        center = math.log(ratio)
-        lo_l.append(min(max(_expit(center - hw), _ABOVE_ZERO), est))
-        hi_l.append(max(min(_expit(center + hw), _BELOW_ONE), est))
-    lo[idx] = lo_l
-    hi[idx] = hi_l
+    lo[idx], hi[idx] = _logit_endpoints(p0_h[idx].tolist(), half[idx].tolist())
     return ReplicateColumns(
         ok=ok,
         p_hat=p_h,

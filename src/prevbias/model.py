@@ -94,6 +94,15 @@ def _coerce_whole(value, where: str, low: int = 0, high: int = _INT64_MAX) -> in
     return int(number)
 
 
+def _coerce_alpha(value) -> float:
+    """The interval level ``alpha`` as a float in ``(0, 1]``, read by
+    :func:`_coerce_cell`; the scenario config and the count table share it."""
+    alpha = float(_coerce_cell(value, "alpha"))
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
+    return alpha
+
+
 def _cells(values, name: str) -> list:
     """The entries of a non-empty list; a string, a mapping or a scalar is not one."""
     try:
@@ -307,21 +316,15 @@ class Mechanism:
         ``n_ts / n_t`` under mcar (NaN for an empty sample); and under maxent
         without bounds the centroid :func:`prevbias.maxent.covid_shares`,
         which needs two classes, a tested individual and one in each class
-        (:class:`InvalidSpec`, :class:`EmptySample`, :class:`EmptyStratum`).
-
-        A numpy array ``n_ts`` may be the study engine's ``(R, S)`` batch, one
-        replicate per row: its mcar fractions come back as an array of the
-        same shape, and the class count is its last axis."""
+        (:class:`InvalidSpec`, :class:`EmptySample`, :class:`EmptyStratum`)."""
         if self.kind == MCAR:
-            if hasattr(n_ts, "ndim"):
-                return n_ts / n_ts.sum(axis=-1, keepdims=True)
             n_t = sum(n_ts)
             return tuple(count / n_t if n_t else math.nan for count in n_ts)
         if self.rho_s is not None:
-            if len(self.rho_s) != getattr(n_ts, "shape", [len(n_ts)])[-1]:
+            if len(self.rho_s) != len(n_ts):
                 raise InvalidSpec("mechanism shares do not match the number of symptom classes")
             return self.rho_s
-        if getattr(n_ts, "ndim", 1) != 1 or len(n_ts) != 2:
+        if len(n_ts) != 2:
             raise InvalidSpec("the closed form needs exactly two symptom classes")
         n_t = int(n_ts[0] + n_ts[1])
         if n_t == 0:

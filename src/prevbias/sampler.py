@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 from .errors import InvalidSpec, TooLarge
 from .model import PopulationSpec, _coerce_matrix, _coerce_whole
@@ -48,13 +47,12 @@ class TestingOutcome:
 
     def __post_init__(self):
         counts = _coerce_matrix(self.counts, "counts", _coerce_whole)
-        if not isinstance(self.n, Integral) or self.n <= 0:
-            raise InvalidSpec("population size must be a positive integer")
+        n = _coerce_whole(self.n, "population size", low=1)
         n_t = sum(healthy + infected for healthy, infected in counts)
-        if n_t > self.n:
-            raise InvalidSpec(f"tested count {n_t} exceeds the population size {int(self.n)}")
+        if n_t > n:
+            raise InvalidSpec(f"tested count {n_t} exceeds the population size {n}")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         if self.n_si is not None:
             n_si = _coerce_matrix(self.n_si, "n_si", _coerce_whole)
             if len(n_si) != len(counts):
@@ -65,7 +63,7 @@ class TestingOutcome:
                         raise InvalidSpec(
                             f"stratum (s={s}, i={i}): tested count {row[i]} exceeds its size {sizes[i]}"
                         )
-            if sum(a + b for a, b in n_si) != self.n:
+            if sum(a + b for a, b in n_si) != n:
                 raise InvalidSpec("stratum sizes must sum to the population size")
             object.__setattr__(self, "n_si", n_si)
 

@@ -1,126 +1,77 @@
-"""Bundled simulation scenarios.
+"""Bundled simulation scenarios, one config document each.
 
-The base population has two symptom classes with shares 0.8 (asymptomatic)
-and 0.2 (symptomatic), within-class infected shares 0.05 and 0.15, and hence
-a true prevalence of 0.20:
+``mcar`` tests everyone alike.  ``mar`` tests by symptom level (stronger
+symptoms select into testing) and corrects with the known class shares.
+``mnar`` tests by infection status too; the known-share correction is
+applied anyway, so a persistent bias is expected and the residual
+information term quantifies it.  ``coverage1`` and ``coverage2`` stress the
+corrected-estimate intervals at a small and a moderate prevalence; their
+within-class splits are choices of this package (only the class shares and
+the total prevalence are pinned).
 
-* ``mcar``: everyone is tested with probability 0.6,
-* ``mar``:  symptomatic individuals are tested with probability 0.9 and
-  asymptomatic ones with probability 0.1 (stronger symptoms select into
-  testing), corrected with the known class shares,
-* ``mnar``: testing also depends on infection status (0.2/0.3 for the
-  asymptomatic healthy/infected, 0.7/0.8 for the symptomatic); the known-share
-  correction is applied anyway, so a persistent bias is expected and the
-  residual information term quantifies it.
-
-The two ``coverage`` scenarios stress the corrected-estimate intervals at a
-small and a moderate prevalence.  Their within-class splits are choices of
-this package (only the class share and the total prevalence are pinned):
-scenario 1 uses infected shares (0.01, 0.04) at class shares (0.9, 0.1),
-scenario 2 uses (0.03, 0.12) at (0.8, 0.2), both tested at (0.1, 0.9).
+``configs/<name>.json`` holds the document of scenario ``name``
+(:func:`scenario_document`), and every builder here parses its document with
+:func:`prevbias.config.parse_scenario`, so overrides follow the rules of a
+config file.
 """
 
 from __future__ import annotations
 
+import copy
+
+from .config import parse_scenario
 from .experiments import ScenarioConfig
-from .model import Mechanism
 
-DEFAULT_GRID = (1_000, 10_000, 100_000, 1_000_000)
-DEFAULT_REPLICATES = 500
-DEFAULT_ALPHA = 0.05
-DEFAULT_SEED = 20240101
-
-BASE_RHO = (("0.75", "0.05"), ("0.05", "0.15"))
-BASE_RHO_S = ("0.8", "0.2")
-
-
-def mcar_scenario(
-    n_grid=DEFAULT_GRID,
-    replicates=DEFAULT_REPLICATES,
-    alpha=DEFAULT_ALPHA,
-    seed=DEFAULT_SEED,
-    label="mcar",
-) -> ScenarioConfig:
-    """Uniform testing at probability 0.6."""
-    return ScenarioConfig(
-        rho=BASE_RHO,
-        pi=[[0.6, 0.6], [0.6, 0.6]],
-        mechanism=Mechanism.mcar(),
-        n_grid=n_grid,
-        replicates=replicates,
-        alpha=alpha,
-        seed=seed,
-        label=label,
-    )
+# name -> (rho, pi, rho_s): the population, and the known class shares of
+# the mar correction or None for mcar; scenario_document fills in the grid,
+# replicate count, level and seed, which every scenario shares
+_SCENARIOS = {
+    "mcar": ([["0.75", "0.05"], ["0.05", "0.15"]], [[0.6, 0.6], [0.6, 0.6]], None),
+    "mar": ([["0.75", "0.05"], ["0.05", "0.15"]], [[0.1, 0.1], [0.9, 0.9]], ["0.8", "0.2"]),
+    "mnar": ([["0.75", "0.05"], ["0.05", "0.15"]], [[0.2, 0.3], [0.7, 0.8]], ["0.8", "0.2"]),
+    "coverage1": ([["0.89", "0.01"], ["0.06", "0.04"]], [[0.1, 0.1], [0.9, 0.9]], ["0.9", "0.1"]),
+    "coverage2": ([["0.77", "0.03"], ["0.08", "0.12"]], [[0.1, 0.1], [0.9, 0.9]], ["0.8", "0.2"]),
+}
 
 
-def mar_scenario(
-    n_grid=DEFAULT_GRID,
-    replicates=DEFAULT_REPLICATES,
-    alpha=DEFAULT_ALPHA,
-    seed=DEFAULT_SEED,
-    label="mar",
-) -> ScenarioConfig:
-    """Symptom-dependent testing (0.1 asymptomatic, 0.9 symptomatic) with the
-    known-share correction."""
-    return ScenarioConfig(
-        rho=BASE_RHO,
-        pi=[[0.1, 0.1], [0.9, 0.9]],
-        mechanism=Mechanism.mar(BASE_RHO_S),
-        n_grid=n_grid,
-        replicates=replicates,
-        alpha=alpha,
-        seed=seed,
-        label=label,
-    )
+def scenario_document(name: str, n_grid=None, replicates=None, alpha=None, seed=None, label=None) -> dict:
+    """The config document of the bundled scenario ``name``, with each
+    override that is not None in place of its default."""
+    rho, pi, rho_s = copy.deepcopy(_SCENARIOS[name])
+    doc = {
+        "label": name,
+        "seed": 20240101,
+        "replicates": 500,
+        "alpha": 0.05,
+        "n_grid": [1000, 10000, 100000, 1000000],
+        "population": {"rho": rho, "pi": pi},
+        "mechanism": {"type": "mcar"} if rho_s is None else {"type": "mar", "rho_s": rho_s},
+    }
+    overrides = {"label": label, "seed": seed, "replicates": replicates, "alpha": alpha, "n_grid": n_grid}
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
+    return doc
 
 
-def mnar_scenario(
-    n_grid=DEFAULT_GRID,
-    replicates=DEFAULT_REPLICATES,
-    alpha=DEFAULT_ALPHA,
-    seed=DEFAULT_SEED,
-    label="mnar",
-) -> ScenarioConfig:
+def mcar_scenario(n_grid=None, replicates=None, alpha=None, seed=None, label=None) -> ScenarioConfig:
+    """Uniform testing, no correction needed."""
+    return parse_scenario(scenario_document("mcar", n_grid, replicates, alpha, seed, label))
+
+
+def mar_scenario(n_grid=None, replicates=None, alpha=None, seed=None, label=None) -> ScenarioConfig:
+    """Symptom-dependent testing with the known-share correction."""
+    return parse_scenario(scenario_document("mar", n_grid, replicates, alpha, seed, label))
+
+
+def mnar_scenario(n_grid=None, replicates=None, alpha=None, seed=None, label=None) -> ScenarioConfig:
     """Testing depends on infection status too; the known-share correction is
     applied regardless, so only part of the bias is removed."""
-    return ScenarioConfig(
-        rho=BASE_RHO,
-        pi=[[0.2, 0.3], [0.7, 0.8]],
-        mechanism=Mechanism.mar(BASE_RHO_S),
-        n_grid=n_grid,
-        replicates=replicates,
-        alpha=alpha,
-        seed=seed,
-        label=label,
-    )
+    return parse_scenario(scenario_document("mnar", n_grid, replicates, alpha, seed, label))
 
 
 def coverage_scenario(
-    which: int,
-    n_grid=DEFAULT_GRID,
-    replicates=DEFAULT_REPLICATES,
-    alpha=DEFAULT_ALPHA,
-    seed=DEFAULT_SEED,
-    label=None,
+    which: int, n_grid=None, replicates=None, alpha=None, seed=None, label=None
 ) -> ScenarioConfig:
-    """Interval-coverage scenarios: 1 = small prevalence (rho_1=0.1,
-    p0=0.05), 2 = moderate prevalence (rho_1=0.2, p0=0.15)."""
-    if which == 1:
-        rho = (("0.89", "0.01"), ("0.06", "0.04"))
-        rho_s = ("0.9", "0.1")
-    elif which == 2:
-        rho = (("0.77", "0.03"), ("0.08", "0.12"))
-        rho_s = ("0.8", "0.2")
-    else:
+    """Interval-coverage scenarios: 1 = small prevalence, 2 = moderate."""
+    if which not in (1, 2):
         raise ValueError(f"coverage scenario must be 1 or 2, got {which!r}")
-    return ScenarioConfig(
-        rho=rho,
-        pi=[[0.1, 0.1], [0.9, 0.9]],
-        mechanism=Mechanism.mar(rho_s),
-        n_grid=n_grid,
-        replicates=replicates,
-        alpha=alpha,
-        seed=seed,
-        label=label or f"coverage{which}",
-    )
+    return parse_scenario(scenario_document(f"coverage{int(which)}", n_grid, replicates, alpha, seed, label))

@@ -416,6 +416,9 @@ class TestBundledConfigs:
             "coverage1": lambda: scenarios.coverage_scenario(1),
             "coverage2": lambda: scenarios.coverage_scenario(2),
         }[name]()
+        # the file is the preset's whole document: seed, replicates, alpha and
+        # the mechanism's shares included
+        assert json.loads((CONFIG_DIR / f"{name}.json").read_text()) == scenarios.scenario_document(name)
         assert cfg.label == preset.label
         assert cfg.rho == preset.rho
         assert cfg.n_grid == preset.n_grid

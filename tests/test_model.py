@@ -168,14 +168,13 @@ class TestMechanismShares:
         bounded = Mechanism.maxent([0.45, 0.15, 0.05], [0.65, 0.35, 0.25])
         assert bounded.rho_s == mean_shares(bounded.slab)
         assert isinstance(bounded.rho_s, tuple)
-        assert bounded.shares(1000, np.zeros((4, 3), dtype=int)) is bounded.rho_s
+        assert bounded.shares(1000, [0, 0, 0]) is bounded.rho_s
         with pytest.raises(InvalidSpec, match="do not match the number of symptom classes"):
             bounded.shares(1000, [10, 20])
 
     def test_mcar_weights_by_the_sample_fractions_row_by_row(self):
-        n_ts = np.array([[30, 10], [0, 7], [5, 0]])
-        assert Mechanism.mcar().shares(100, n_ts[0]).tolist() == [0.75, 0.25]
-        assert Mechanism.mcar().shares(100, n_ts).tolist() == [[0.75, 0.25], [0.0, 1.0], [1.0, 0.0]]
+        rows = [[30, 10], [0, 7], [5, 0]]
+        assert [Mechanism.mcar().shares(100, n_ts) for n_ts in rows] == [(0.75, 0.25), (0.0, 1.0), (1.0, 0.0)]
 
     def test_maxent_without_bounds_uses_the_closed_form(self):
         mech = Mechanism.maxent()

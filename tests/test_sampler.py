@@ -37,6 +37,10 @@ class TestOutcomeType:
         for bad in (2.5, True, -1, "x"):
             with pytest.raises(InvalidSpec, match=r"counts\[1,0\]"):
                 Outcome(counts=[[3, 1], [bad, 2]], n=100)
+        # and so does the population size
+        for bad in (True, 1.5, 0, "x"):
+            with pytest.raises(InvalidSpec, match="population size"):
+                Outcome(counts=[[0, 1]], n=bad)
 
     def test_counts_cannot_exceed_population(self):
         with pytest.raises(InvalidSpec, match="exceeds the population"):
