@@ -50,25 +50,45 @@ RMSE_COLUMNS = ("n", "replicates", "kept", "discarded", "rmse_p0", "rmse_abs_sd"
 COVERAGE_COLUMNS = ("n", "replicates", "kept", "discarded", "boundary_misses", "coverage")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _write_table(path: Path, table, fmt: str) -> None:
-    """Write a table given as a mapping from column name to column values."""
-    names = list(table)
+    """Write a table given as a mapping from column name to column values.
+
+    Each column holds ints, floats or bools, one type per column, and the
+    table has at least one row.  Both formats fill one row template with a
+    single ``%`` over the flattened cells.  The json bytes are those of
+    ``json.dumps(rows, indent=2, sort_keys=True)`` with NaN and infinities as
+    ``null``; the csv cells are ``%.17g`` floats, ``1``/``0`` bools and
+    decimal ints.
+    """
+    from itertools import chain
+
+    names = sorted(table) if fmt == "json" else list(table)
+    specs, columns = [], []
+    for name in names:
+        column = table[name]
+        kinds = set(map(type, column))
+        if len(kinds) != 1 or not kinds <= {int, float, bool}:
+            found = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise TypeError(f"column {name!r} must hold one of int, float or bool, not {found}")
+        kind = kinds.pop()
+        if fmt == "csv":
+            specs.append("%.17g" if kind is float else "%d")
+        else:
+            specs.append("%s")  # int.__repr__ and float.__repr__, as json prints them
+            if kind is float:
+                column = [v if math.isfinite(v) else "null" for v in column]
+            elif kind is bool:
+                column = ["true" if v else "false" for v in column]
+        columns.append(column)
     if fmt == "json":
-        columns = [[v if math.isfinite(v) else None for v in column] for column in table.values()]
-        payload = [dict(zip(names, row)) for row in zip(*columns)]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
-    lines = [",".join(names)]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*table.values()))
-    path.write_text("\n".join(lines) + "\n")
+        keys = (json.dumps(name).replace("%", "%%") for name in names)
+        row = "  {\n" + ",\n".join(f"    {key}: {spec}" for key, spec in zip(keys, specs)) + "\n  }"
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    else:
+        row = ",".join(specs)
+        head, sep, tail = ",".join(names) + "\n", "\n", "\n"
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    path.write_text(head + sep.join([row] * len(columns[0])) % cells + tail)
 
 
 def _jsonable(value):
@@ -89,7 +109,7 @@ def cmd_estimate(args) -> int:
         raw = Path(args.input).read_text()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the 4300-digit limit
         raise InvalidSpec(f"input is not valid JSON: {exc}") from exc
     outcome, mechanism, alpha = parse_count_table(doc)
     bundle = build_bundle(outcome, mechanism)

@@ -93,7 +93,7 @@ def load_scenario(path):
         raw = handle.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the 4300-digit limit
         raise InvalidSpec(f"config is not valid JSON: {exc}") from exc
     return parse_scenario(doc), raw
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Real
@@ -49,6 +50,7 @@ from .maxent import SimplexSlab, covid_shares, mean_shares, ordered_sum
 
 SHARE_SUM_TOL = 1e-12
 _INT64_MAX = 2**63 - 1
+_FLOAT_MAX = int(sys.float_info.max)  # an integer, so comparing a Fraction with it is exact
 # A decimal exponent of 1000 or more is no share, probability or size, and
 # Fraction("1e10000000") alone takes seconds to build 10**10000000.
 _HUGE_EXPONENT = re.compile(r"e[-+]?[0_]*[1-9](_?\d){3}", re.IGNORECASE)
@@ -63,26 +65,31 @@ def _coerce_cell(cell, where: str) -> Fraction:
     are exact as given.  A float is read by its shortest round-tripping
     decimal (``repr``), so the literal ``0.05`` is 1/20 and not its binary
     neighbour, and ``float()`` of the result gives the float back.  Bools,
-    NaN, infinities and text that is not a number are rejected.
+    NaN, infinities, numbers beyond the float range and text that is not a
+    number are rejected, so ``float()`` of the result never overflows.
     """
     if isinstance(cell, bool):
         raise InvalidSpec(f"{where} is not a number: {cell!r}")
     if isinstance(cell, Integral):  # numpy integer scalars too
-        return Fraction(int(cell))
-    if isinstance(cell, Fraction):
-        return cell
-    if isinstance(cell, Real):  # floats, numpy float scalars too
-        if not math.isfinite(cell):
-            raise InvalidSpec(f"{where} is not a finite number: {cell!r}")
-        cell = repr(float(cell))
-    if isinstance(cell, str):
+        number = Fraction(int(cell))
+    elif isinstance(cell, Fraction):
+        number = cell
+    else:
+        if isinstance(cell, Real):  # floats, numpy float scalars too
+            if not math.isfinite(cell):
+                raise InvalidSpec(f"{where} is not a finite number: {cell!r}")
+            cell = repr(float(cell))
+        if not isinstance(cell, str):
+            raise InvalidSpec(f"{where} has unsupported type {type(cell).__name__}")
         if _HUGE_EXPONENT.search(cell):
             raise InvalidSpec(f"{where} is out of range: {cell!r}")
         try:
-            return Fraction(cell)
+            number = Fraction(cell)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidSpec(f"{where} is not a number: {cell!r}") from exc
-    raise InvalidSpec(f"{where} has unsupported type {type(cell).__name__}")
+    if abs(number) > _FLOAT_MAX:
+        raise InvalidSpec(f"{where} is out of range: {cell!r}")
+    return number
 
 
 def _coerce_whole(value, where: str, low: int = 0, high: int = _INT64_MAX) -> int:

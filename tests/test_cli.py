@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from prevbias.cli import main
+from prevbias.cli import _write_table, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -275,6 +276,49 @@ class TestRun:
         assert list(tmp_path.iterdir()) == [config]
 
 
+class TestTableWriter:
+    """`_write_table` against the encoders it replaced: `json.dumps` with
+    non-finite floats as null, and the per-cell csv rule kept here."""
+
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, 1.7976931348623157e308]
+    # not in sorted order, so json must sort the keys and csv must keep them
+    TABLE = {
+        "x": FLOATS,
+        "hit": [True, False] * 4,
+        "n": [0, 2**62, 1, -7, 10**16, 3, 2**53 + 1, 42],
+    }
+
+    @staticmethod
+    def _csv_cell(value) -> str:
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return str(value)
+
+    def test_json_bytes_are_those_of_json_dumps(self, tmp_path):
+        path = tmp_path / "t.json"
+        _write_table(path, self.TABLE, "json")
+        rows = [
+            {name: (None if isinstance(v, float) and not math.isfinite(v) else v) for name, v in zip(self.TABLE, row)}
+            for row in zip(*self.TABLE.values())
+        ]
+        assert path.read_bytes() == (json.dumps(rows, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_csv_bytes_follow_the_per_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_table(path, self.TABLE, "csv")
+        lines = [",".join(self.TABLE)]
+        lines += [",".join(map(self._csv_cell, row)) for row in zip(*self.TABLE.values())]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column", [[1, 2.5], [True, 1], [0.5, False], [1, "1"]])
+    def test_a_column_that_mixes_types_raises(self, tmp_path, fmt, column):
+        with pytest.raises(TypeError, match="column 'a'"):
+            _write_table(tmp_path / f"t.{fmt}", {"a": column, "b": [0, 1]}, fmt)
+
+
 class TestFractionShares:
     """Every number in a config or count table parses by one rule: fraction
     strings work wherever a share or probability goes, whole-number fields
@@ -361,6 +405,54 @@ class TestFractionShares:
         assert code == 2, out.err
         assert out.err.startswith(f"error: {field}")
         assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", "1e999"),
+            ("alpha", int("9" * 400)),  # a 400-digit JSON integer
+            ("mechanism", {"type": "mar", "rho_s": ["1e999", "0.2"]}),
+            ("mechanism", {"type": "maxent", "lower": ["1e999", 0.1], "upper": [0.9, 0.3]}),
+        ],
+    )
+    def test_estimate_rejects_numbers_beyond_the_float_range(self, capsys, tmp_path, field, value):
+        code, out = self._estimate(capsys, dict(MAR_INPUT, **{field: value}), tmp_path)
+        assert code == 2, out.err
+        assert "out of range" in out.err
+        assert "internal error" not in out.err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", "1e999"), ("pi", [["1e999", "1/10"], ["9/10", "9/10"]])],
+    )
+    def test_run_rejects_numbers_beyond_the_float_range(self, capsys, tmp_path, field, value):
+        doc = json.loads((CONFIG_DIR / "mar.json").read_text())
+        if field == "pi":
+            config = small_config(tmp_path, population=dict(doc["population"], pi=value))
+        else:
+            config = small_config(tmp_path, **{field: value})
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "out of range" in err
+        assert "internal error" not in err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_integer_too_long_to_read_exits_2(self, capsys, tmp_path):
+        # json.loads refuses an integer literal beyond 4300 digits with a
+        # ValueError that is not a JSONDecodeError
+        alpha = '"alpha": ' + "9" * 5000
+        table = tmp_path / "counts.json"
+        table.write_text(json.dumps(dict(MAR_INPUT, alpha=0)).replace('"alpha": 0', alpha))
+        config = small_config(tmp_path, alpha=0)
+        config.write_text(config.read_text().replace('"alpha": 0', alpha))
+        out = tmp_path / "out"
+        for argv in (["estimate", "--input", str(table)], ["run", "--config", str(config), "--out-dir", str(out)]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert err.startswith("error: ") and "4300" in err
+            assert not out.exists()
 
     def test_run_takes_fraction_string_pi(self, tmp_path):
         doc = json.loads((CONFIG_DIR / "mar.json").read_text())

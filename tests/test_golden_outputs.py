@@ -96,6 +96,14 @@ def test_edge_config_reaches_the_edge_branches(tmp_path):
     rows = json.loads((tmp_path / "tiny_coverage.json").read_text())
     assert rows[0]["discarded"] > 0
     assert rows[0]["boundary_misses"] > 0
+    # the json reads back as the benchmark's out-dir check reads it: counts
+    # are ints, hits are bools, and a discarded replicate's p0_hat is null
+    fan = json.loads((tmp_path / "tiny_cifan.json").read_text())
+    assert all(type(row["hit"]) is bool for row in fan)
+    for row in rows:
+        assert all(type(row[key]) is int for key in ("n", "kept", "discarded"))
+        missing = sum(1 for f in fan if f["n"] == row["n"] and f["p0_hat"] is None)
+        assert missing == row["discarded"]
 
 
 if __name__ == "__main__":
