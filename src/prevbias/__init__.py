@@ -14,7 +14,7 @@ numbers and load no numpy; the study engine (``experiments``, ``rng``,
 ``scenarios``) does.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # module -> the names it exports
 _EXPORTS = {

@@ -103,13 +103,10 @@ def _jsonable(value):
 
 
 def cmd_estimate(args) -> int:
-    if args.input == "-":
-        raw = sys.stdin.read()
-    else:
-        raw = Path(args.input).read_text()
+    raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_bytes()
     try:
         doc = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the 4300-digit limit
+    except ValueError as exc:  # bad JSON or encoding, or an integer beyond the 4300-digit limit
         raise InvalidSpec(f"input is not valid JSON: {exc}") from exc
     outcome, mechanism, alpha = parse_count_table(doc)
     bundle = build_bundle(outcome, mechanism)

@@ -2,17 +2,20 @@
 
 A scenario fixes the population shape (shares, testing probabilities), a
 correction mechanism, a grid of population sizes, a replicate count, a
-confidence level, and a seed.  Replicate ``r`` at grid position ``k`` draws
-from the dedicated stream ``(seed, k * replicates + r)``, and aggregation
-happens in replicate order, so reports are byte-stable for a given
-configuration.
+confidence level, and a seed.  Grid position ``k`` draws from the stream
+``(seed, k)``: one binomial call fills its ``(replicates, S, 2)`` counts
+array in C order, so replicate ``r`` holds the stream's variates ``2S * r``
+to ``2S * (r + 1) - 1``.  The first replicates of a position are therefore
+the same for every replicate count, and a position's counts do not depend
+on the rest of the grid.  Aggregation happens in replicate order, so reports
+are byte-stable for a given configuration.
 
 The engine works on one grid position at a time.  It draws every replicate's
-counts into one ``(replicates, S, 2)`` array, then computes the estimates,
-standard errors and intervals of all replicates at once
-(:func:`replicate_columns`), with the same floating-point operations in the
-same order as the one-shot functions in :mod:`prevbias.estimators` and
-:mod:`prevbias.asymptotics`, which remain its reference.
+counts, then computes the estimates, standard errors and intervals of all
+replicates at once (:func:`replicate_columns`), with the same floating-point
+operations in the same order as the one-shot functions in
+:mod:`prevbias.estimators` and :mod:`prevbias.asymptotics`, which remain its
+reference.
 
 Aggregation of the information tables averages the probability estimates
 across replicates first and takes logarithms of the means.  When the
@@ -25,7 +28,6 @@ is reported for every mechanism.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,7 +47,7 @@ from .model import (
     _coerce_whole,
     population_prevalence,
 )
-from .rng import stream_generators
+from .rng import RngStream
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,19 +146,14 @@ class ReplicateColumns:
 
 
 def _draw_counts(cfg: ScenarioConfig) -> list[np.ndarray]:
-    """One ``(replicates, S, 2)`` counts array per grid position, replicate
-    ``r`` at position ``k`` from stream ``(seed, k * replicates + r)``.  One
-    scalar binomial call per cell in C order draws what
-    :func:`prevbias.sampler.draw_outcome`'s array call draws from the same
-    stream, and costs less for a handful of cells."""
-    reps = cfg.replicates
-    generators = stream_generators(cfg.seed, np.arange(len(cfg.specs) * reps, dtype=np.uint64))
-    counts = []
-    for spec in cfg.specs:
-        cells = list(zip(spec.n_si.ravel().tolist(), spec.pi.ravel().tolist()))
-        rows = [[gen.binomial(size, p) for size, p in cells] for gen in itertools.islice(generators, reps)]
-        counts.append(np.array(rows, dtype=np.int64).reshape(reps, spec.s, 2))
-    return counts
+    """One ``(replicates, S, 2)`` counts array per grid position, position
+    ``k`` from one array binomial call on stream ``(seed, k)``.  The call
+    draws what scalar calls cell by cell in C order draw from that stream, so
+    replicate 0 is :func:`prevbias.sampler.draw_outcome` on the stream."""
+    return [
+        RngStream(cfg.seed, k).generator().binomial(spec.n_si, spec.pi, size=(cfg.replicates, spec.s, 2))
+        for k, spec in enumerate(cfg.specs)
+    ]
 
 
 def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha: float) -> ReplicateColumns:

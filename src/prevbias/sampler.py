@@ -4,11 +4,9 @@ Testing decisions are independent Bernoulli draws per individual, so the
 tested count of each subpopulation is binomial: ``N_Tsi ~ Bin(N_si, pi_si)``,
 independently across cells.  Draws are made per cell rather than per
 individual; the two are the same distribution and the cell-level draw is
-O(S) instead of O(N).  The batched study engine draws the same cells from
-the same streams, positioning one reused generator on each replicate's
-stream: on a shared 2-core x86 host it ran 60,000-76,000 replicates per
-second at N = 10^6, so half a million take about 7-8 s, and the scalar
-binomial calls and the generator state setter are most of that time.
+O(S) instead of O(N).  The batched study engine draws the same cells in
+one array call per grid position, whose first replicate is what
+:func:`draw_outcome` draws from that position's stream.
 
 A :class:`TestingOutcome` holds Python ints, so a count table is estimated
 without numpy; a draw uses the numpy generator of the

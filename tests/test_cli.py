@@ -125,6 +125,17 @@ class TestEstimate:
         path.write_text(json.dumps(MAR_INPUT))
         assert main(["estimate", "--input", str(path)]) == 0
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        # an ignored string field holds the byte; in UTF-8 the same table reads
+        path = tmp_path / "counts.json"
+        path.write_bytes(json.dumps(dict(MAR_INPUT, note="é"), ensure_ascii=False).encode())
+        assert main(["estimate", "--input", str(path)]) == 0
+        path.write_bytes(path.read_bytes().replace("é".encode(), b"\xff"))
+        capsys.readouterr()
+        assert main(["estimate", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input is not valid JSON: ") and len(err.splitlines()) == 1
+
     # unbuffered, the write fails in print; buffered, in the flush after it
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_stdout_exits_1_quietly(self, tmp_path, unbuffered):

@@ -3,9 +3,9 @@
 Each digest covers the sorted file names of one out-dir and their bytes
 (tables, per-replicate fan and manifest), so any change to the replicate
 streams, the estimators, the intervals, the aggregation or the number
-formatting shows up here.  The digests were recorded from the per-replicate
-engine that preceded the batched one; the batched engine must reproduce them
-byte for byte.
+formatting shows up here.  The digests were recorded at version 0.2.0,
+whose engine draws each grid position's replicates from one stream
+``(seed, k)``.
 
 To print the digests of the current tree instead of checking them:
 
@@ -50,15 +50,15 @@ MAXENT3_DOC = {
 }
 
 GOLDEN = {
-    ("mcar", "csv"): "0a469d19988c2808345fdda52d7101f2b55a66430250abbee610bb9ef4affc41",
-    ("mar", "csv"): "2a14ae46e716238c51bcbf569f409696115e155dda0333c8b7dcb6aff62d902a",
-    ("mar", "json"): "31743e51360b5de4f77295916d7eed5534aef539a229e3e1ef64ad0b7ba015e4",
-    ("mnar", "csv"): "a31521905f6c7b1ddfefc4fbe9e8403111da3b1d00f8e6c9ee596de7ce1f2738",
-    ("coverage1", "csv"): "b4828e292277666dc8f448fc892554940e0baba314136efbe35cf04b49c3b8e4",
-    ("coverage2", "csv"): "c8c3accac8690731d56a04ff57d78e5cb2d52b488e1d31017812e5d78ee9c817",
-    ("tiny", "csv"): "cd8e1e375541b708bb4ad3688692cba7331154e18d9c89c7b1eaa6f315f21967",
-    ("tiny", "json"): "8541ee6ff4e8e7592da742989a6bc389b3f689661414a17a9ef5de0512e68ee1",
-    ("maxent3", "csv"): "c031d7eb9084ee8f0aa3e29e11d39a176dd685dea37019fd9c9a4fd6f15d5b40",
+    ("mcar", "csv"): "86959e1afe2a68e1d8a5c7123189e98321e25966b3d8d798e065296ef304d5ad",
+    ("mar", "csv"): "90a5fd5794dc3b73a7cd6b2217686e0b040f6d0bb3f1d460febb3afebb1e7d16",
+    ("mar", "json"): "acb661b2cb19bd146c0aecdce6d0467fb6d9a3728af649642c67adcee43fb6eb",
+    ("mnar", "csv"): "52774b1d2b898fca9b2c04e366bcc477f0c31815781f7ba0a0f073a6cd202f62",
+    ("coverage1", "csv"): "35676b05abc9781aaeb98b93f8fe67979f9e350f82a63f971a60896e179339b3",
+    ("coverage2", "csv"): "d7134c434a83bb25ca811697cf15a22d6ab6c7cb6c1e436b90c80ea4511b95cb",
+    ("tiny", "csv"): "1723c2e349d14af2dcbf445fa2f51f61a797f7d66e4afb92a186f82a16b0dd1a",
+    ("tiny", "json"): "956e4107838f2f5daeeb69387b4f6b9c7753a9f0b923ee1d6a79d3339d43eeae",
+    ("maxent3", "csv"): "0476c30bdfbbec1ed18cc71459f0a8b60cb00bbbc84d6cded11019a9144e9a05",
 }
 
 

@@ -1,19 +1,22 @@
-"""Vectorised stream seeding against numpy's own SeedSequence and PCG64.
+"""The study engine's stream layout against scalar draws on numpy's generator.
 
-:func:`prevbias.rng.stream_generators` re-implements SeedSequence's pool
-hashing and PCG64's seeding steps, so these tests hold it to
-:meth:`prevbias.RngStream.generator`, numpy's construction.  A numpy that
-seeds differently fails here rather than moving study outputs silently.
+Grid position ``k`` of a study draws its ``(replicates, S, 2)`` counts in one
+array binomial call on ``RngStream(seed, k)``.  These tests hold that call to
+the slow paths the rest of the suite trusts: scalar ``binomial`` calls, cell
+by cell in C order, on the same stream, and :func:`prevbias.draw_outcome`.  A
+numpy whose array call draws differently from its scalar calls fails here
+rather than moving study outputs silently.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence
 
-from prevbias import RngStream, draw_outcome, mar_scenario, mnar_scenario
+from prevbias import RngStream, draw_outcome, mar_scenario, mnar_scenario, run_experiment
+from prevbias.config import parse_scenario
 from prevbias.errors import InvalidSpec
 from prevbias.experiments import _draw_counts
-from prevbias.rng import seed_states, stream_generators
 
 EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1]
 
@@ -25,78 +28,89 @@ def _random_words(rng, count: int) -> list[int]:
     return [int(x) for x in np.where(rng.random(count) < 0.5, low, low | high)]
 
 
-def _reference_states(seed: int, streams) -> np.ndarray:
-    return np.array([SeedSequence((seed, int(s))).generate_state(4, np.uint64) for s in streams])
-
-
 SEEDS = EDGE_WORDS + _random_words(np.random.default_rng(2015), 12)
+
+# Empty cells, p in {0, 1}, small n * p (inversion) and large n * p (BTPE):
+# at N = 20, 10**6 and 1000 the generator switches algorithms between cells.
+CELLS_DOC = {
+    "label": "cells",
+    "replicates": 6,
+    "alpha": 0.05,
+    "n_grid": [20, 10**6, 1000],
+    "population": {
+        "rho": [["0.3", "0"], ["0.2", "0.1"], ["0.05", "0.35"]],
+        "pi": [[0.37, 0.3], [0.0, 1.0], [0.02, 0.999]],
+    },
+    "mechanism": {"type": "mcar"},
+}
+
+
+def _sequential_draws(cfg, k: int) -> np.ndarray:
+    """Position ``k`` drawn the slow way: one scalar call per cell."""
+    spec = cfg.specs[k]
+    gen = RngStream(cfg.seed, k).generator()
+    cells = list(zip(spec.n_si.ravel().tolist(), spec.pi.ravel().tolist()))
+    rows = [[gen.binomial(size, p) for size, p in cells] for _ in range(cfg.replicates)]
+    return np.array(rows, dtype=np.int64).reshape(cfg.replicates, spec.s, 2)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_pool_matches_seed_sequence(seed):
-    rng = np.random.default_rng(seed % 2**32)
-    streams = np.array(EDGE_WORDS + _random_words(rng, 40), dtype=np.uint64)
-    got = seed_states(seed, streams)
-    assert got.dtype == np.uint64 and got.shape == (len(streams), 4)
-    assert np.array_equal(got, _reference_states(seed, streams))
+def test_bulk_draw_equals_sequential_scalar_draws(seed):
+    cfg = parse_scenario(dict(CELLS_DOC, seed=seed))
+    counts = _draw_counts(cfg)
+    assert len(counts) == len(cfg.specs)
+    for k in range(len(cfg.specs)):
+        assert counts[k].dtype == np.int64
+        assert np.array_equal(counts[k], _sequential_draws(cfg, k))
+
+
+@pytest.mark.parametrize("scenario", [mar_scenario, mnar_scenario])
+def test_engine_counts_are_each_positions_sequential_draws(scenario):
+    cfg = scenario(n_grid=(1000, 10_000), replicates=40, seed=2**40 + 3)
+    for k, counts in enumerate(_draw_counts(cfg)):
+        assert np.array_equal(counts, _sequential_draws(cfg, k))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20240101, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_replicate_zero_is_draw_outcome(seed):
+    for cfg in (mar_scenario(seed=seed, replicates=3), mnar_scenario(seed=seed, replicates=3),
+                parse_scenario(dict(CELLS_DOC, seed=seed))):
+        for k, (spec, counts) in enumerate(zip(cfg.specs, _draw_counts(cfg))):
+            assert np.array_equal(counts[0], np.array(draw_outcome(spec, RngStream(seed, k)).counts))
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-def test_pool_matches_seed_sequence_across_the_word_boundary(seed):
-    streams = np.arange(2**32 - 64, 2**32 + 64, dtype=np.uint64)
-    assert np.array_equal(seed_states(seed, streams), _reference_states(seed, streams))
+def test_first_replicates_do_not_depend_on_the_replicate_count(seed):
+    cfg = mnar_scenario(n_grid=(20, 1000, 10**6), replicates=41, seed=seed)
+    full = _draw_counts(cfg)
+    report = run_experiment(cfg)
+    for reps in (1, 5, 40):
+        short = replace(cfg, replicates=reps)
+        for k, counts in enumerate(_draw_counts(short)):
+            assert np.array_equal(counts, full[k][:reps])
+        # the fan rows of those replicates carry over byte for byte
+        fan = run_experiment(short).fan
+        rows = [i for i, rep in enumerate(report.fan["rep"]) if rep < reps]
+        for name, column in fan.items():
+            assert repr(column) == repr([report.fan[name][i] for i in rows])
 
 
-def test_pool_of_no_streams_is_empty():
-    assert seed_states(3, np.array([], dtype=np.uint64)).shape == (0, 4)
+def test_appending_a_grid_size_keeps_the_earlier_positions():
+    cfg = mar_scenario(n_grid=(100, 1000), replicates=30, seed=9)
+    longer = _draw_counts(replace(cfg, n_grid=(100, 1000, 10**5)))
+    assert len(longer) == 3
+    for before, after in zip(_draw_counts(cfg), longer):
+        assert np.array_equal(before, after)
+
+
+def test_positions_of_one_size_draw_from_distinct_streams():
+    counts = _draw_counts(mar_scenario(n_grid=(10**4, 10**4), replicates=20, seed=9))
+    assert not np.array_equal(counts[0], counts[1])
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(InvalidSpec):
-        seed_states(seed, [0])
-
-
-# n = 0, p in {0, 1}, small n * p (inversion) and n = 1e6 (BTPE), in an
-# order that makes the reused generator switch algorithms between calls
-CELLS = [
-    (0, 0.3),
-    (10**6, 0.37),
-    (17, 0.2),
-    (50, 0.0),
-    (50, 1.0),
-    (10**6, 0.02),
-    (3, 0.9),
-    (10**6, 0.999),
-    (0, 1.0),
-    (1000, 0.5),
-]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 20240101, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
-def test_reused_generator_draws_what_each_stream_draws(seed):
-    streams = [0, 1, 2, 999, 2**32 - 3, 2**32 - 1, 2**32, 2**32 + 2, 2**64 - 10, 2**64 - 1]
-    got = [[gen.binomial(n, p) for n, p in CELLS] for gen in stream_generators(seed, streams)]
-    want = []
-    for s in streams:
-        gen = RngStream(seed, s).generator()
-        want.append([gen.binomial(n, p) for n, p in CELLS])
-    assert got == want
-
-
-def test_reused_generator_matches_many_consecutive_streams():
-    seed = 20240101
-    streams = np.arange(2**32 - 1000, 2**32 + 1000, dtype=np.uint64)
-    got = [gen.binomial(10**6, 0.37) for gen in stream_generators(seed, streams)]
-    assert got == [RngStream(seed, int(s)).generator().binomial(10**6, 0.37) for s in streams]
-
-
-@pytest.mark.parametrize("scenario", [mar_scenario, mnar_scenario])
-def test_engine_counts_are_each_replicate_streams_draw(scenario):
-    cfg = scenario(n_grid=(1000, 10_000), replicates=40, seed=2**40 + 3)
-    specs = cfg.specs
-    counts = _draw_counts(cfg)
-    for k, spec in enumerate(specs):
-        stream = k * cfg.replicates
-        want = [draw_outcome(spec, RngStream(cfg.seed, stream + r)).counts for r in range(cfg.replicates)]
-        assert np.array_equal(counts[k], np.array(want))
+        RngStream(seed)
+    with pytest.raises(InvalidSpec):
+        RngStream(0, seed)
