@@ -3,15 +3,18 @@
 Grid position ``k`` of a study draws its ``(replicates, S, 2)`` counts in one
 array binomial call on ``RngStream(seed, k)``.  These tests hold that call to
 the slow paths the rest of the suite trusts: scalar ``binomial`` calls, cell
-by cell in C order, on the same stream, and :func:`prevbias.draw_outcome`.  A
-numpy whose array call draws differently from its scalar calls fails here
-rather than moving study outputs silently.
+by cell in C order, on the same stream, and :func:`prevbias.draw_outcome`;
+and they hold each stream's generator to the words numpy's SeedSequence
+hashes from ``(seed, stream)``.  A numpy that seeds differently, or whose
+array call draws differently from its scalar calls, fails here rather than
+moving study outputs silently.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 from prevbias import RngStream, draw_outcome, mar_scenario, mnar_scenario, run_experiment
 from prevbias.config import parse_scenario
@@ -29,6 +32,74 @@ def _random_words(rng, count: int) -> list[int]:
 
 
 SEEDS = EDGE_WORDS + _random_words(np.random.default_rng(2015), 12)
+
+# PCG64's LCG multiplier: seeding takes two steps of the generator
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seeded_state(seed: int, stream: int) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` seeded, as numpy seeds it, from the four words
+    SeedSequence hashes out of the pool ``(seed, stream)``."""
+    w = [int(x) for x in SeedSequence((seed, stream)).generate_state(4, np.uint64)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) % 2**128
+    return (((inc + (w[0] << 64 | w[1])) * PCG64_MULT) + inc) % 2**128, inc
+
+
+def _assert_streams_match_seed_sequence(seed: int, streams) -> None:
+    states = []
+    for s in streams:
+        state = RngStream(seed, s).generator().bit_generator.state["state"]
+        assert (state["state"], state["inc"]) == _seeded_state(seed, s)
+        states.append(state["state"])
+    assert len(set(states)) == len(states)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pool_matches_seed_sequence(seed):
+    rng = np.random.default_rng(seed % 2**32)
+    _assert_streams_match_seed_sequence(seed, EDGE_WORDS + _random_words(rng, 40))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_pool_matches_seed_sequence_across_the_word_boundary(seed):
+    _assert_streams_match_seed_sequence(seed, range(2**32 - 64, 2**32 + 64))
+
+
+# n = 0, p in {0, 1}, small n * p (inversion) and n = 1e6 (BTPE), in an
+# order that makes the reused generator switch algorithms between calls
+CELLS = [
+    (0, 0.3),
+    (10**6, 0.37),
+    (17, 0.2),
+    (50, 0.0),
+    (50, 1.0),
+    (10**6, 0.02),
+    (3, 0.9),
+    (10**6, 0.999),
+    (0, 1.0),
+    (1000, 0.5),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20240101, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_reused_generator_draws_what_each_stream_draws(seed):
+    """One array call over a block of replicates draws what one generator,
+    reused for every replicate, draws in scalar calls, on any stream id."""
+    streams = [0, 1, 2, 999, 2**32 - 3, 2**32 - 1, 2**32, 2**32 + 2, 2**64 - 10, 2**64 - 1]
+    n, p = (np.array(column) for column in zip(*CELLS))
+    for s in streams:
+        got = RngStream(seed, s).generator().binomial(n, p, size=(4, len(CELLS)))
+        gen = RngStream(seed, s).generator()
+        assert got.tolist() == [[gen.binomial(n, p) for n, p in CELLS] for _ in range(4)]
+
+
+def test_reused_generator_matches_many_consecutive_streams():
+    seed = 20240101
+    for s in range(2**32 - 1000, 2**32 + 1000):
+        gen = RngStream(seed, s).generator()
+        got = RngStream(seed, s).generator().binomial(10**6, 0.37, size=2)
+        assert got.tolist() == [gen.binomial(10**6, 0.37), gen.binomial(10**6, 0.37)]
+
 
 # Empty cells, p in {0, 1}, small n * p (inversion) and large n * p (BTPE):
 # at N = 20, 10**6 and 1000 the generator switches algorithms between cells.
