@@ -84,52 +84,62 @@ class VarianceEstimates(NamedTuple):
     degenerate: bool = False
 
 
+def _class_sums(w, w_den, pi, rate) -> tuple:
+    """``(p0, v1, v2, v3, v4)`` from the limiting weight ``w``, the share
+    ``w_den``, the testing probability ``pi`` and the positive rate ``rate``
+    of each class; an inactive class carries ``(0, 1, 1, 0)`` and adds exact
+    zeros.  Entries are floats for one table or numpy columns for a batch,
+    with the same bits: only ``+ - * /`` and :func:`ordered_sum`, correctly
+    rounded on both (so ``d * d``: Python's float ``**`` calls libm ``pow``,
+    which need not be).  On floats a zero testing mass raises
+    ``ZeroDivisionError``."""
+    mass = [x * p for x, p in zip(w, pi)]
+    d = ordered_sum(mass)
+    noise = [r * (1.0 - r) for r in rate]
+    spread = [m * (1.0 - p) for m, p in zip(mass, pi)]
+    odds = [(1.0 - p) / p for p in pi]
+    p_tilde0 = ordered_sum(m * r for m, r in zip(mass, rate)) / d
+    p0 = ordered_sum(x * r for x, r in zip(w, rate))
+    v1 = ordered_sum(s * e for s, e in zip(spread, noise)) / (d * d)
+    v2 = ordered_sum(s * ((r - p_tilde0) * (r - p_tilde0)) for s, r in zip(spread, rate)) / (d * d)
+    # w * w / w_den as the general formula has it: with w_den = w, need not round to w
+    v3 = ordered_sum(x * x / u * o * e for x, u, o, e in zip(w, w_den, odds, noise))
+    v4 = ordered_sum(m / d * x / u * o * e for m, x, u, o, e in zip(mass, w, w_den, odds, noise))
+    return p0, v1, v2, v3, v4
+
+
+def _table_sums(outcome: TestingOutcome, w, pi) -> tuple:
+    """:func:`_class_sums` of one table with ``w`` as weight and share, and
+    whether a weighted class has a positive rate of 0 or 1; zero-weight
+    classes are inactive.  Raises as :func:`plugin_variances` documents."""
+    active = [x > 0.0 for x in w]
+    missing = [s for s, (on, n) in enumerate(zip(active, outcome.n_ts)) if on and n == 0]
+    if missing:
+        raise EmptyStratum(missing)
+    if any(on and p <= 0.0 for on, p in zip(active, pi)):
+        raise InvalidSpec("pi_hat must be positive on positively weighted classes")
+    rates = [row[1] / n if on else 0.0 for on, row, n in zip(active, outcome.counts, outcome.n_ts)]
+    columns = [(x, x, p, r) if on else (0.0, 1.0, 1.0, 0.0) for on, x, p, r in zip(active, w, pi, rates)]
+    try:
+        sums = _class_sums(*zip(*columns))
+    except ZeroDivisionError:
+        raise InvalidSpec("total estimated testing mass must be positive") from None
+    return sums, any(on and (r == 0.0 or r == 1.0) for on, r in zip(active, rates))
+
+
 def plugin_variances(outcome: TestingOutcome, pi_hat_s, rho_hat_s) -> VarianceEstimates:
     """Evaluate the variance components at the estimated quantities.
 
-    ``rho_hat_s`` plays the role of both the true class shares and the
-    limiting weights, which is the right choice under known shares, where
-    both equal ``rho_s``.  Classes with zero weight are ignored; positively
-    weighted classes must contain tested individuals and carry a positive
-    ``pi_hat``.
-
-    Every sum over classes is :func:`prevbias.maxent.ordered_sum`, and a
-    class with zero weight adds exact zeros to it.
+    ``rho_hat_s`` is both the limiting weight ``w`` and the share ``w_den``
+    of :func:`_class_sums`, which is the right choice under known shares,
+    where both equal ``rho_s``.  Classes with zero weight are ignored;
+    positively weighted classes must contain tested individuals
+    (:class:`EmptyStratum`) and carry a positive ``pi_hat``, and the testing
+    mass must be positive (:class:`InvalidSpec`).
     """
-    s_count = outcome.s
-    pi_hat = _floats(pi_hat_s, s_count, "pi_hat_s")
-    rho_hat = _floats(rho_hat_s, s_count, "rho_hat_s")
-
-    active = [w > 0.0 for w in rho_hat]
-    n_ts = outcome.n_ts
-    missing = [s for s in range(s_count) if active[s] and n_ts[s] == 0]
-    if missing:
-        raise EmptyStratum(missing)
-    if any(on and p <= 0.0 for on, p in zip(active, pi_hat)):
-        raise InvalidSpec("pi_hat must be positive on positively weighted classes")
-
-    p0s_hat = [row[1] / n if n else 0.0 for row, n in zip(outcome.counts, n_ts)]
-    degenerate = any(on and (p == 0.0 or p == 1.0) for on, p in zip(active, p0s_hat))
-
-    r = [w if on else 0.0 for on, w in zip(active, rho_hat)]
-    pi_safe = [p if on else 1.0 for on, p in zip(active, pi_hat)]
-    mass = [w * p for w, p in zip(r, pi_safe)]
-    d = ordered_sum(mass)
-    if d <= 0.0:
-        raise InvalidSpec("total estimated testing mass must be positive")
-
-    noise = [p * (1.0 - p) for p in p0s_hat]
-    p_tilde0 = ordered_sum(m * p for m, p in zip(mass, p0s_hat)) / d
-    spread = [m * (1.0 - p) for m, p in zip(mass, pi_safe)]
-    v1 = ordered_sum(m * e for m, e in zip(spread, noise)) / d**2
-    v2 = ordered_sum(m * ((p - p_tilde0) * (p - p_tilde0)) for m, p in zip(spread, p0s_hat)) / d**2
-    odds = [(1.0 - p) / p for p in pi_safe]
-    # the limiting weight times itself over the share, as the general
-    # formula has it: w * w / w and w / w need not round to w and 1
-    ratio3 = [w * w / w if on else 0.0 for on, w in zip(active, r)]
-    ratio4 = [m / d * w / w if on else 0.0 for on, m, w in zip(active, mass, r)]
-    v3 = ordered_sum(q * o * e for q, o, e in zip(ratio3, odds, noise))
-    v4 = ordered_sum(q * o * e for q, o, e in zip(ratio4, odds, noise))
+    pi_hat = _floats(pi_hat_s, outcome.s, "pi_hat_s")
+    rho_hat = _floats(rho_hat_s, outcome.s, "rho_hat_s")
+    (_, v1, v2, v3, v4), degenerate = _table_sums(outcome, rho_hat, pi_hat)
     return VarianceEstimates(v1=v1, v2=v2, v3=v3, v4=v4, degenerate=degenerate)
 
 

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from .errors import (
     DivisionByZeroWeight,
     EmptySample,
-    EmptyStratum,
     InvalidSpec,
     MechanismMismatch,
     UndefinedActiveInfo,
 )
-from .maxent import SimplexSlab, ordered_sum
+from .asymptotics import _table_sums
+from .maxent import SimplexSlab
 from .model import MAXENT, MCAR, Mechanism, PopulationSpec, _floats, population_prevalence
 from .sampler import TestingOutcome
 
@@ -74,18 +74,17 @@ def share_weighted_p0(outcome: TestingOutcome, shares) -> float:
     """Share-weighted average of per-class positive rates,
     ``sum_s shares_s * (N_Ts1 / N_Ts)``.
 
-    This is the common corrected-estimator kernel; mar and maxent only differ
-    in where ``shares`` comes from.  Classes with zero weight are skipped, a
-    positively weighted class without tested individuals is an error.
+    This is the common corrected estimator; mar and maxent only differ in
+    where ``shares`` comes from.  Zero-weight classes are skipped (all-zero
+    shares give 0); a weighted class without tested individuals is an error.
     """
     w = _floats(shares, outcome.s, "shares")
-    if any(x < 0.0 for x in w):
-        raise InvalidSpec("shares must be nonnegative")
-    n_ts = outcome.n_ts
-    missing = [s for s in range(outcome.s) if w[s] > 0.0 and n_ts[s] == 0]
-    if missing:
-        raise EmptyStratum(missing)
-    return ordered_sum(w[s] * (outcome.counts[s][1] / n_ts[s]) for s in range(outcome.s) if w[s] > 0.0)
+    if not all(0.0 <= x < math.inf for x in w):
+        raise InvalidSpec("shares must be finite and nonnegative")
+    if not any(w):
+        return 0.0
+    # p0 takes no pi; 1 / share keeps each testing mass near 1, away from 0
+    return _table_sums(outcome, w, [1.0 / x if x else 1.0 for x in w])[0][0]
 
 
 def p0_hat_mar(outcome: TestingOutcome, rho_s) -> float:

@@ -12,10 +12,10 @@ are byte-stable for a given configuration.
 
 The engine works on one grid position at a time.  It draws every replicate's
 counts, then computes the estimates, standard errors and intervals of all
-replicates at once (:func:`replicate_columns`), with the same floating-point
-operations in the same order as the one-shot functions in
-:mod:`prevbias.estimators` and :mod:`prevbias.asymptotics`, which remain its
-reference.
+replicates at once (:func:`replicate_columns`) through the class sums and
+interval endpoints (``_class_sums``, ``_logit_endpoints``) that the one-shot
+functions of :mod:`prevbias.asymptotics` and :mod:`prevbias.estimators`, its
+reference, call on Python floats.
 
 Aggregation of the information tables averages the probability estimates
 across replicates first and takes logarithms of the means.  When the
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _NEGATIVE_CAUSE, _logit_endpoints, normal_quantile
+from .asymptotics import _NEGATIVE_CAUSE, _class_sums, _logit_endpoints, normal_quantile
 from .errors import InvalidSpec, NegativeVarianceCombination
 from .model import (
     MAXENT,
@@ -165,10 +165,10 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     Bit for bit what :func:`p_hat`, :func:`share_weighted_p0`,
     :func:`mechanism_plugin_inputs`, :func:`plugin_variances`,
     :func:`sigma_p0` and :func:`ci_logit_prevalence` give replicate by
-    replicate (for populations below 2**53): sums over classes run in the
-    scalar order, the interval uses the same ``math`` functions, and a
-    negative V3 in a kept replicate raises the
-    :class:`NegativeVarianceCombination` of :func:`sigma_p0`.
+    replicate (for populations below 2**53): they call the same
+    :func:`_class_sums` and :func:`_logit_endpoints`, and a negative V3 in a
+    kept replicate raises the :class:`NegativeVarianceCombination` of
+    :func:`sigma_p0`.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_si = np.asarray(n_si, dtype=np.int64)
@@ -182,36 +182,26 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     n_t = n_ts.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         p_h = positives.sum(axis=1) / n_t
-        rates = positives / n_ts
         if mechanism.kind == MCAR:
             rho = n_ts / n_t[:, None]  # the sample fractions, one row per replicate
-            p0_h = p_h
             pi_hat = np.broadcast_to((n_t / n)[:, None], n_ts.shape)
         else:
             if mechanism.rho_s is None or len(mechanism.rho_s) != n_ts.shape[1]:
                 raise InvalidSpec("the study engine needs one fixed share per symptom class")
             w = np.asarray(mechanism.rho_s)
             rho = np.broadcast_to(w, n_ts.shape)
-            p0_h = np.zeros(len(counts))
-            for s in np.flatnonzero(w > 0.0):  # class by class, as the scalar sum
-                p0_h = p0_h + w[s] * rates[:, s]
             pi_hat = n_ts / (n * w)
-        ok = (n_t > 0) & ~np.any((rho > 0.0) & (n_ts == 0), axis=1)
-
-        # plugin_variances with rho_bar = rho_hat, reduced to V3
         active = rho > 0.0
-        p0s = np.where(n_ts > 0, rates, 0.0)
-        degenerate = ok & np.any(active & ((p0s == 0.0) | (p0s == 1.0)), axis=1)
-        r = np.where(active, rho, 0.0)
-        pi_safe = np.where(active, pi_hat, 1.0)
-        noise = p0s * (1.0 - p0s)
-        odds = (1.0 - pi_safe) / pi_safe
-        ratio3 = np.where(active, r**2 / np.where(active, r, 1.0), 0.0)
-        terms = ratio3 * odds * noise
-        v3 = np.zeros(len(counts))
-        for s in range(terms.shape[1]):  # class by class, as the scalar ordered_sum
-            v3 = v3 + terms[:, s]
-        v3 = v3 / n
+        ok = (n_t > 0) & ~np.any(active & (n_ts == 0), axis=1)
+        rates = np.where(active, positives / n_ts, 0.0)
+        degenerate = ok & np.any(active & ((rates == 0.0) | (rates == 1.0)), axis=1)
+        # as plugin_variances, with rho as both weight and share; (S, R) columns
+        sums = _class_sums(
+            np.where(active, rho, 0.0).T, np.where(active, rho, 1.0).T,
+            np.where(active, pi_hat, 1.0).T, rates.T,
+        )
+        p0_h = p_h if mechanism.kind == MCAR else sums[0]
+        v3 = sums[3] / n
         negative = np.flatnonzero(ok & (v3 < 0.0))
         if negative.size:
             raise NegativeVarianceCombination(
