@@ -202,7 +202,7 @@ def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInte
 def _bracket(v, p: float, p_bar0: float, conditional: bool) -> float:
     v1, v2, v3, v4 = v[0], v[1], v[2], v[3]
     top = v1 if conditional else v1 + v2
-    value = top / p**2 + v3 / p_bar0**2 - 2.0 * v4 / (p * p_bar0)
+    value = top / (p * p) + v3 / (p_bar0 * p_bar0) - 2.0 * v4 / (p * p_bar0)
     if value < -_CLIP_TOL:
         raise NegativeVarianceCombination(
             f"variance combination {value!r} is negative beyond tolerance"

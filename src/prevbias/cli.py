@@ -165,11 +165,7 @@ def cmd_run(args) -> int:
 
     from .experiments import run_experiment  # numpy, which `estimate` does without
 
-    cfg, raw = load_scenario(args.config)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, seed=int(args.seed))
+    cfg, raw = load_scenario(args.config, args.seed)
     report = run_experiment(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

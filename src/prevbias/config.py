@@ -86,16 +86,22 @@ def parse_scenario(doc: dict):
     )
 
 
-def load_scenario(path):
+def load_scenario(path, seed=None):
     """Read a scenario file; returns the parsed config and the raw bytes
-    (hashed into the run manifest)."""
+    (hashed into the run manifest).  A ``seed`` replaces the file's own in
+    the document before it is parsed; the file's seed must still be present
+    and valid, and is checked after the rest of the config."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or an integer beyond the 4300-digit limit
         raise InvalidSpec(f"config is not valid JSON: {exc}") from exc
-    return parse_scenario(doc), raw
+    if seed is None or not isinstance(doc, dict) or "seed" not in doc:
+        return parse_scenario(doc), raw  # a missing seed fails here, override or not
+    config = parse_scenario({**doc, "seed": seed})
+    _coerce_whole(doc["seed"], "seed", high=2**64 - 1)
+    return config, raw
 
 
 def parse_count_table(doc: dict):

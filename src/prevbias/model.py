@@ -14,8 +14,8 @@ Everything in this module is a deterministic function of that layout:
   individuals under the biased testing probabilities,
 * ``active_info_testing``     -- ``log(p / p0)``, the information (in nats)
   that self-selection into testing carries about infection status,
-* ``exact_quantities``        -- the asymptotic variance components ``V1..V4``
-  and the limits used by the normal approximations,
+* ``exact_quantities``        -- the asymptotic variance components ``V1..V4``,
+  next to the three limits above that the normal approximations use,
 * ``corrected_prevalence_limit`` -- the large-N limit of the share-weighted
   corrected estimator, useful as a bias oracle when the weighting assumption
   is wrong (testing probabilities that depend on infection status).
@@ -356,40 +356,24 @@ class Mechanism:
 class AsymptoticQuantities:
     """Deterministic inputs to the normal approximations.
 
-    ``v1`` captures sampling noise of the within-class prevalence estimates
-    inside the biased estimator, ``v2`` the noise of the tested-class
-    proportions around their expectations, ``v3`` the noise of the corrected
-    estimator given the share weights, and ``v4`` the covariance that couples
-    the biased and corrected errors.  ``p_tilde0`` is the testing-rate
-    weighted average of the class prevalences and ``p_bar0`` the probability
-    limit of the corrected estimator.
+    ``p0``, ``p`` and ``p_bar0`` are the population prevalence, the testing
+    prevalence and the probability limit of the corrected estimator, as
+    :func:`population_prevalence`, :func:`testing_prevalence` and
+    :func:`corrected_prevalence_limit` give them.  ``v1`` captures sampling
+    noise of the within-class prevalence estimates inside the biased
+    estimator, ``v2`` the noise of the tested-class proportions around their
+    expectations, ``v3`` the noise of the corrected estimator given the share
+    weights, and ``v4`` the covariance that couples the biased and corrected
+    errors.
     """
 
     p0: float
     p: float
-    p0s: np.ndarray
-    rho_tilde: np.ndarray
-    p_tilde0: float
-    rho_bar: np.ndarray
     p_bar0: float
     v1: float
     v2: float
     v3: float
     v4: float
-    i_plus_t: float
-
-    def validate(self) -> None:
-        """Raise if a mathematical invariant is violated (bug guard)."""
-        for name in ("p0", "p", "p_tilde0", "p_bar0"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidSpec(f"{name}={value!r} outside [0, 1]")
-        if abs(float(self.rho_tilde.sum()) - 1.0) > SHARE_SUM_TOL:
-            raise InvalidSpec("rho_tilde does not sum to 1")
-        if min(self.v1, self.v2, self.v3) < 0.0:
-            raise InvalidSpec("variance components must be nonnegative")
-        if self.v4 **2 > self.v1 * self.v3 + 1e-9:
-            raise InvalidSpec("v4^2 exceeds v1*v3 beyond tolerance")
 
 
 def population_prevalence(spec: PopulationSpec) -> float:
@@ -452,12 +436,16 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
     Returns
     -------
     AsymptoticQuantities
-        With variance components
+        With ``p0``, ``p`` and ``p_bar0 = corrected_prevalence_limit(spec,
+        rho_bar)`` from their closed forms, and the variance components
 
         ``v1 = sum_s rho_s pi_s (1-pi_s) p0s (1-p0s) / (sum_s rho_s pi_s)^2``,
-        ``v2 = sum_s rho_s pi_s (1-pi_s) (p0s - p_tilde0)^2 / (sum_s rho_s pi_s)^2``,
+        ``v2 = sum_s rho_s pi_s (1-pi_s) (p0s - p)^2 / (sum_s rho_s pi_s)^2``,
         ``v3 = sum_s rho_bar_s^2 rho_s^{-1} ((1-pi_s)/pi_s) p0s (1-p0s)``,
-        ``v4 = sum_s rho_tilde_s rho_bar_s rho_s^{-1} ((1-pi_s)/pi_s) p0s (1-p0s)``.
+        ``v4 = sum_s rho_tilde_s rho_bar_s rho_s^{-1} ((1-pi_s)/pi_s) p0s (1-p0s)``,
+
+        where ``rho_tilde_s = rho_s pi_s / sum_s rho_s pi_s`` and
+        ``p0s = rho_s1 / rho_s``.
     """
     import numpy as np
 
@@ -478,35 +466,20 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
     if rb is None:
         raise InvalidSpec("maxent limiting shares need explicit share bounds")
     rb = np.asarray(rb)
+    p = testing_prevalence(spec)
 
     p0s = spec.p0s
-    d = float(rho_s @ pi_s)
-    rho_tilde = rho_s * pi_s / d
-    p = float(rho_tilde @ p0s)
-    p_tilde0 = float((rho_s * pi_s * p0s).sum() / d)
-
+    mass = rho_s * pi_s
+    d = float(mass.sum())
     noise = p0s * (1.0 - p0s)
-    v1 = float((rho_s * pi_s * (1.0 - pi_s) * noise).sum() / d**2)
-    v2 = float((rho_s * pi_s * (1.0 - pi_s) * (p0s - p_tilde0) ** 2).sum() / d**2)
+    spread = mass * (1.0 - pi_s)
     odds = (1.0 - pi_s) / pi_s
-    v3 = float((rb**2 / rho_s * odds * noise).sum())
-    v4 = float((rho_tilde * rb / rho_s * odds * noise).sum())
-
-    p0 = population_prevalence(spec)
-    p_bar0 = float(rb @ p0s)
-    i_plus_t = math.log(p / p0) if p > 0.0 and p0 > 0.0 else math.nan
-
     return AsymptoticQuantities(
-        p0=p0,
+        p0=population_prevalence(spec),
         p=p,
-        p0s=p0s,
-        rho_tilde=rho_tilde,
-        p_tilde0=p_tilde0,
-        rho_bar=rb,
-        p_bar0=p_bar0,
-        v1=v1,
-        v2=v2,
-        v3=v3,
-        v4=v4,
-        i_plus_t=i_plus_t,
+        p_bar0=corrected_prevalence_limit(spec, rb),
+        v1=float((spread * noise).sum() / (d * d)),
+        v2=float((spread * ((p0s - p) * (p0s - p))).sum() / (d * d)),
+        v3=float((rb * rb / rho_s * odds * noise).sum()),
+        v4=float((mass / d * rb / rho_s * odds * noise).sum()),
     )

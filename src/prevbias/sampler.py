@@ -10,7 +10,9 @@ one array call per grid position, whose first replicate is what
 
 A :class:`TestingOutcome` holds Python ints, so a count table is estimated
 without numpy; a draw uses the numpy generator of the
-:class:`prevbias.rng.RngStream` it is given.
+:class:`prevbias.rng.RngStream` it is given.  An outcome holds the counts
+and ``N`` alone, drawn or read from JSON alike; the stratum sizes stay with
+the :class:`prevbias.model.PopulationSpec` that a draw is made from.
 """
 
 from __future__ import annotations
@@ -28,20 +30,16 @@ ENUMERATION_LIMIT = 30
 @dataclass(frozen=True, eq=False)
 class TestingOutcome:
     """Realised tested counts ``N_Tsi`` for one testing round, as a tuple of
-    ``(healthy, infected)`` int pairs, one per symptom class.
+    ``(healthy, infected)`` int pairs, one per symptom class, and the
+    population size ``n``, which bounds the tested total.
 
-    ``n_si`` (the subpopulation sizes, in the same layout) is known for
-    simulated outcomes and enables the realised sampling fractions; it is
-    ``None`` for user-supplied count tables where only the population total
-    ``n`` is known.  Each count and size is a whole number read as the JSON
-    inputs read it (``3``, ``3.0`` and ``"3"`` agree).  Per-class results are
-    tuples.  Ratios of counts are Python ``int / int``, correctly rounded at
-    every size.
+    Each count is a whole number read as the JSON inputs read it (``3``,
+    ``3.0`` and ``"3"`` agree).  Per-class results are tuples.  Ratios of
+    counts are Python ``int / int``, correctly rounded at every size.
     """
 
     counts: tuple[tuple[int, int], ...]
     n: int
-    n_si: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         counts = _coerce_matrix(self.counts, "counts", _coerce_whole)
@@ -51,19 +49,6 @@ class TestingOutcome:
             raise InvalidSpec(f"tested count {n_t} exceeds the population size {n}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", n)
-        if self.n_si is not None:
-            n_si = _coerce_matrix(self.n_si, "n_si", _coerce_whole)
-            if len(n_si) != len(counts):
-                raise InvalidSpec("n_si must match the shape of counts")
-            for s, (row, sizes) in enumerate(zip(counts, n_si)):
-                for i in (0, 1):
-                    if row[i] > sizes[i]:
-                        raise InvalidSpec(
-                            f"stratum (s={s}, i={i}): tested count {row[i]} exceeds its size {sizes[i]}"
-                        )
-            if sum(a + b for a, b in n_si) != n:
-                raise InvalidSpec("stratum sizes must sum to the population size")
-            object.__setattr__(self, "n_si", n_si)
 
     @property
     def s(self) -> int:
@@ -89,22 +74,12 @@ class TestingOutcome:
         """Positive rates per symptom class (NaN where nobody was tested)."""
         return tuple(row[1] / n if n else math.nan for row, n in zip(self.counts, self.n_ts))
 
-    @property
-    def sampling_fractions(self) -> tuple[tuple[float, float], ...]:
-        """Realised per-cell fractions ``N_Tsi / N_si`` (NaN for empty cells)."""
-        if self.n_si is None:
-            raise InvalidSpec("sampling fractions need the subpopulation sizes n_si")
-        return tuple(
-            tuple(c / size if size else math.nan for c, size in zip(row, sizes))
-            for row, sizes in zip(self.counts, self.n_si)
-        )
-
 
 def draw_outcome(spec: PopulationSpec, rng) -> TestingOutcome:
     """Simulate one testing round from the :class:`prevbias.rng.RngStream`
     ``rng``: independent ``Bin(N_si, pi_si)`` per cell."""
     counts = rng.generator().binomial(spec.n_si, spec.pi)
-    return TestingOutcome(counts=counts, n=spec.n, n_si=spec.n_si)
+    return TestingOutcome(counts=counts, n=spec.n)
 
 
 def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float]]:
@@ -128,5 +103,5 @@ def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float
         for pmf, k in zip(cell_pmfs, combo):
             prob *= pmf[k]
         counts = tuple(zip(combo[::2], combo[1::2]))
-        outcomes.append((TestingOutcome(counts=counts, n=spec.n, n_si=spec.n_si), float(prob)))
+        outcomes.append((TestingOutcome(counts=counts, n=spec.n), float(prob)))
     return outcomes

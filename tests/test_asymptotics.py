@@ -160,6 +160,28 @@ class TestSigmaIT:
                 continue
             assert s_c <= s_u + 1e-15
 
+    def test_matches_its_expression_on_numpy_columns(self):
+        # the first six have x**2 != x * x in Python floats on glibc 2.36,
+        # whose libm pow is not correctly rounded; numpy's * is, as on floats
+        planted = [
+            0.42533730676875514, 0.5874183784430576, 0.43022268713048784,
+            0.07689070041014368, 0.1759696703546062, 0.8982605744652615,
+        ]
+        rng = np.random.default_rng(68)
+        p = np.array(planted + rng.uniform(0.05, 0.95, size=30).tolist())
+        p_bar0 = np.array(planted[::-1] + rng.uniform(0.05, 0.95, size=30).tolist())
+        v1, v2, v3 = rng.uniform(0.0, 1.0, size=(3, p.size))
+        v4 = 0.9 * rng.uniform(-1.0, 1.0, size=p.size) * np.sqrt(v1 * v3)
+        for conditional in (False, True):
+            top = v1 if conditional else v1 + v2
+            bracket = top / (p * p) + v3 / (p_bar0 * p_bar0) - 2.0 * v4 / (p * p_bar0)
+            columns = np.sqrt(bracket / 1000)
+            scalars = [
+                sigma_it(v, a, b, 1000, conditional=conditional)
+                for v, a, b in zip(zip(v1, v2, v3, v4), p.tolist(), p_bar0.tolist())
+            ]
+            assert scalars == columns.tolist()
+
     def test_tiny_negative_bracket_clipped(self):
         v4 = 1e-10 * 0.25 / 2.0
         assert sigma_it((0.0, 0.0, 0.0, v4), 0.5, 0.5, 100) == 0.0

@@ -48,7 +48,7 @@ ALPHAS = (0.05, 1.0, 1e-20, 1.0 - 2.0**-52, 0.1, 0.05)
 
 def scalar_replicate(counts, n_si, mechanism, p0_true, alpha) -> dict:
     """One replicate through the scalar path; ``ValueError`` propagates."""
-    outcome = Outcome(counts=counts, n=int(n_si.sum()), n_si=n_si)
+    outcome = Outcome(counts=counts, n=int(n_si.sum()))
     try:
         p_h = p_hat(outcome)
         p0_h = p_h if mechanism.kind == "mcar" else share_weighted_p0(outcome, mechanism.rho_s)

@@ -201,6 +201,40 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 77
 
+    def test_seed_override_writes_what_the_file_seed_writes(self, tmp_path):
+        outs = tmp_path / "override", tmp_path / "file", tmp_path / "default"
+        assert main(["run", "--config", str(small_config(tmp_path)), "--out-dir", str(outs[0]), "--seed", "7"]) == 0
+        assert main(["run", "--config", str(small_config(tmp_path, seed=7)), "--out-dir", str(outs[1])]) == 0
+        assert main(["run", "--config", str(small_config(tmp_path)), "--out-dir", str(outs[2])]) == 0
+        for suffix in ("activeinfo", "rmse", "coverage", "cifan"):
+            name = f"mar_{suffix}.csv"
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert (outs[0] / "mar_cifan.csv").read_bytes() != (outs[2] / "mar_cifan.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True, "x", 2**64])
+    def test_seed_override_still_needs_a_valid_file_seed(self, capsys, tmp_path, seed):
+        doc = json.loads(small_config(tmp_path).read_text())
+        if seed is None:
+            del doc["seed"]
+        else:
+            doc["seed"] = seed
+        config = tmp_path / "bad_seed.json"
+        config.write_text(json.dumps(doc))
+        args = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        plain = capsys.readouterr().err
+        assert main([*args, "--seed", "7"]) == 2
+        assert capsys.readouterr().err == plain
+        assert plain.startswith("error: seed") or "'seed'" in plain
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_seed_override_exits_2(self, capsys, tmp_path):
+        config = small_config(tmp_path)
+        for seed in ("-1", str(2**64)):
+            assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--seed", seed]) == 2
+            assert capsys.readouterr().err.startswith("error: seed must be a whole number")
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_stratum_size_exit_2(self, tmp_path):
         config = small_config(tmp_path, n_grid=[1000, 1010])
         proc = run_cli(["run", "--config", str(config), "--out-dir", str(tmp_path / "x")])

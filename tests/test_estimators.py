@@ -87,7 +87,7 @@ class TestGeneralCorrection:
         checked = 0
         for outcome, _ in enumerate_outcomes(spec):
             if np.all(np.array(outcome.counts) > 0):
-                estimate = p0_hat_general(outcome, outcome.sampling_fractions)
+                estimate = p0_hat_general(outcome, np.array(outcome.counts) / spec.n_si)
                 assert estimate == pytest.approx(p0, abs=1e-12)
                 checked += 1
         assert checked > 100
@@ -164,7 +164,7 @@ class TestBoundedShareCorrection:
             assert p0_hat_maxent(out, slab) == p0_hat_mar(out, shares)
 
     def test_census_degenerates_to_p_hat(self):
-        out = Outcome(counts=[[8, 2], [6, 4]], n=20, n_si=[[8, 2], [6, 4]])
+        out = Outcome(counts=[[8, 2], [6, 4]], n=20)
         shares = covid_shares(20, 20, 10)
         assert shares[1] == pytest.approx(0.5, abs=1e-15)
         assert p0_hat_maxent(out) == pytest.approx(p_hat(out), abs=1e-15)
@@ -206,21 +206,21 @@ class TestActiveInfoEstimates:
 
 class TestConditionalTargets:
     def test_expected_class_mix_reproduces_testing_prevalence(self, spec_mar):
-        out = Outcome(counts=[[76, 4], [30, 150]], n=1000, n_si=spec_mar.n_si)
+        out = Outcome(counts=[[76, 4], [30, 150]], n=1000)
         assert sample_fractions(out) == pytest.approx([80 / 260, 180 / 260], abs=1e-15)
         p_bar, _ = conditional_targets(spec_mar, out)
         assert p_bar == pytest.approx(float(7) / 13, abs=1e-12)
 
     def test_even_mix_value(self):
         spec = base_spec(PI_MAR)
-        out = Outcome(counts=[[120, 10], [30, 100]], n=1000, n_si=spec.n_si)
+        out = Outcome(counts=[[120, 10], [30, 100]], n=1000)
         p_bar, i_bar = conditional_targets(spec, out)
         assert p_bar == pytest.approx(0.5 * 0.0625 + 0.5 * 0.75, abs=1e-12)
         assert i_bar == pytest.approx(math.log(0.40625 / 0.2), abs=1e-12)
 
     def test_zero_information_when_mix_matches_population(self):
         spec = base_spec(PI_MAR)
-        out = Outcome(counts=[[200, 8], [10, 42]], n=1000, n_si=spec.n_si)
+        out = Outcome(counts=[[200, 8], [10, 42]], n=1000)
         assert sample_fractions(out) == [0.8, 0.2]
         p_bar, i_bar = conditional_targets(spec, out)
         assert p_bar == pytest.approx(0.2, abs=1e-12)

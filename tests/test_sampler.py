@@ -46,15 +46,6 @@ class TestOutcomeType:
         with pytest.raises(InvalidSpec, match="exceeds the population"):
             Outcome(counts=[[5, 5], [5, 6]], n=20)
 
-    def test_counts_cannot_exceed_stratum_sizes(self):
-        with pytest.raises(InvalidSpec, match=r"s=1, i=0"):
-            Outcome(counts=[[1, 1], [7, 1]], n=20, n_si=[[8, 2], [6, 4]])
-
-    def test_sampling_fractions_need_sizes(self):
-        out = Outcome(counts=[[1, 1], [2, 1]], n=20)
-        with pytest.raises(InvalidSpec):
-            _ = out.sampling_fractions
-
 
 class TestDraw:
     def test_certain_testing_returns_the_census(self):
