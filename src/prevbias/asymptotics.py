@@ -48,12 +48,6 @@ def normal_quantile(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0) if alpha > 2.0**-53 else math.inf
 
 
-def _expit(x: float) -> float:
-    """Logistic function; the sign split keeps ``math.exp`` from overflowing."""
-    z = math.exp(-abs(x))
-    return 1.0 / (1.0 + z) if x >= 0.0 else z / (1.0 + z)
-
-
 @dataclass(frozen=True)
 class ConfidenceInterval:
     lo: float
@@ -169,26 +163,30 @@ def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInt
     if not 0.0 < est < 1.0:
         raise BoundaryEstimate(f"no logit interval for a boundary estimate {est!r}")
     half_width = normal_quantile(alpha) * sigma / (est * (1.0 - est))
-    (lo,), (hi,) = _logit_endpoints([est], [half_width])
+    lo, hi = _logit_endpoints(est, half_width, math.log, math.exp, _choose)
     return ConfidenceInterval(lo=lo, hi=hi)
 
 
-def _logit_endpoints(ests: list, half_widths: list) -> tuple[list, list]:
-    """The endpoints ``logit^{-1}(logit(est) -/+ half_width)`` of each
-    estimate in (0, 1), as two lists; a zero half-width gives ``(est, est)``.
-    One call serves a whole batch of study replicates."""
-    los, his = [], []
-    for est, half_width in zip(ests, half_widths):
-        if half_width == 0.0:
-            los.append(est)
-            his.append(est)
-            continue
-        center = math.log(est / (1.0 - est))
-        # expit rounds to exactly 0/1 for huge half-widths; keep the endpoints
-        # strictly inside the unit interval
-        los.append(min(max(_expit(center - half_width), _ABOVE_ZERO), est))
-        his.append(max(min(_expit(center + half_width), _BELOW_ONE), est))
-    return los, his
+def _choose(condition: bool, a: float, b: float) -> float:
+    """``np.where`` on one float."""
+    return a if condition else b
+
+
+def _logit_endpoints(est, half_width, log, exp, where) -> tuple:
+    """``logit^{-1}(logit(est) -/+ half_width)`` inside (0, 1) and around
+    ``est`` in (0, 1); ``(est, est)`` for a zero half-width.  The same bits on
+    floats (``math.log``, ``math.exp``, :func:`_choose`) as on float64 columns
+    (those two by ``map``, ``np.where``): the rest is exact or correctly rounded."""
+    center = log(est / (1.0 - est))
+    lo, hi = center - half_width, center + half_width
+    # the logistic function, split by sign so that exp cannot overflow
+    z_lo, z_hi = exp(-abs(lo)), exp(-abs(hi))
+    lo = where(lo >= 0.0, 1.0, z_lo) / (1.0 + z_lo)
+    hi = where(hi >= 0.0, 1.0, z_hi) / (1.0 + z_hi)
+    lo = where(lo < _ABOVE_ZERO, _ABOVE_ZERO, lo)  # expit gives 0 or 1 at huge half-widths
+    hi = where(hi > _BELOW_ONE, _BELOW_ONE, hi)
+    zero = half_width == 0.0
+    return where(zero | (est < lo), est, lo), where(zero | (est > hi), est, hi)
 
 
 def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInterval:

@@ -12,10 +12,10 @@ are byte-stable for a given configuration.
 
 The engine works on one grid position at a time.  It draws every replicate's
 counts, then computes the estimates, standard errors and intervals of all
-replicates at once (:func:`replicate_columns`) through the class sums and
-interval endpoints (``_class_sums``, ``_logit_endpoints``) that the one-shot
-functions of :mod:`prevbias.asymptotics` and :mod:`prevbias.estimators`, its
-reference, call on Python floats.
+replicates at once (:func:`replicate_columns`) on numpy columns, through the
+kernels ``_class_sums`` and ``_logit_endpoints`` that the one-shot functions
+of :mod:`prevbias.asymptotics` and :mod:`prevbias.estimators`, its reference,
+call on Python floats; only ``math.log`` and ``math.exp`` run entry by entry.
 
 Aggregation of the information tables averages the probability estimates
 across replicates first and takes logarithms of the means.  When the
@@ -156,6 +156,11 @@ def _draw_counts(cfg: ScenarioConfig) -> list[np.ndarray]:
     ]
 
 
+def _libm(f):
+    """``f`` on each entry of a float64 column, as on a Python float."""
+    return lambda column: np.fromiter(map(f, column.tolist()), np.float64, column.size)
+
+
 def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha: float) -> ReplicateColumns:
     """Estimates, plug-in standard errors and logit intervals of every
     replicate in an ``(R, S, 2)`` counts array at once, weighted as
@@ -166,9 +171,9 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     :func:`mechanism_plugin_inputs`, :func:`plugin_variances`,
     :func:`sigma_p0` and :func:`ci_logit_prevalence` give replicate by
     replicate (for populations below 2**53): they call the same
-    :func:`_class_sums` and :func:`_logit_endpoints`, and a negative V3 in a
-    kept replicate raises the :class:`NegativeVarianceCombination` of
-    :func:`sigma_p0`.
+    :func:`_class_sums` and :func:`_logit_endpoints`, here on columns, and a
+    negative V3 in a kept replicate raises the
+    :class:`NegativeVarianceCombination` of :func:`sigma_p0`.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_si = np.asarray(n_si, dtype=np.int64)
@@ -210,16 +215,13 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
             )
         sigma = np.sqrt(v3)
 
-        p_h = np.where(ok, p_h, np.nan)
-        p0_h = np.where(ok, p0_h, np.nan)
-        sigma = np.where(ok, sigma, np.nan)
+        p_h, p0_h, sigma = (np.where(ok, x, np.nan) for x in (p_h, p0_h, sigma))
         interior = ok & (0.0 < p0_h) & (p0_h < 1.0)
         half = normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h))
 
-    lo = np.full(len(counts), np.nan)
-    hi = lo.copy()
+    lo, hi = np.full((2, len(counts)), np.nan)
     idx = np.flatnonzero(interior)
-    lo[idx], hi[idx] = _logit_endpoints(p0_h[idx].tolist(), half[idx].tolist())
+    lo[idx], hi[idx] = _logit_endpoints(p0_h[idx], half[idx], _libm(math.log), _libm(math.exp), np.where)
     return ReplicateColumns(
         ok=ok,
         p_hat=p_h,

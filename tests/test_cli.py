@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,9 @@ class TestEstimate:
              "mechanism": {"type": "mar", "rho_s": ["0.5", "0.3", "0.2"]}},
             {"N": 136, "counts": [[11, 2], [46, 9]],
              "mechanism": {"type": "maxent", "lower": [0.6, 0.15], "upper": [0.85, 0.4]}},
+            # the benchmark's estimate workload, seed 49: class 1 is tested 23
+            # times, more than N * 0.2 = 22.4
+            {"N": 112, "counts": [[8, 0], [6, 17]], "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]}},
         ],
     )
     def test_class_tested_beyond_its_share_has_no_standard_errors(self, capsys, tmp_path, doc):
@@ -108,7 +112,22 @@ class TestEstimate:
         assert 0.0 < result["p_hat"] < 1.0 and 0.0 < result["p0_hat"] < 1.0
         assert not [key for key in result if key.startswith(("sigma", "ci_"))]
         [warning] = [w for w in result["warnings"] if w.startswith("standard errors unavailable: ")]
-        assert "is negative" in warning
+        assert warning.endswith("is negative; a symptom class was tested beyond N times its share")
+
+    def test_zero_standard_error_gives_a_point_interval_on_the_estimate(self, capsys, tmp_path):
+        # a table of the benchmark's estimate workload (seed 21): class 0 has
+        # no positives and class 1 is tested 29 = N * 0.2 times, so V3 = 0
+        doc = {"N": 145, "counts": [[8, 0], [7, 22]], "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]}}
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(doc))
+        assert main(["estimate", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        result = json.loads(captured.out)
+        assert result["p0_hat"] == float(Fraction(1, 5) * Fraction(22, 29))
+        assert result["sigma_p0"] == 0.0
+        assert result["ci_p0"] == [result["p0_hat"], result["p0_hat"]]
+        assert result["ci_p"][0] < result["p_hat"] < result["ci_p"][1]
 
     def test_counts_exceeding_population_exit_2(self):
         doc = dict(MAR_INPUT, N=400)
