@@ -24,13 +24,13 @@ _EXPORTS = {
         "sigma_p0",
     ),
     "errors": (
-        "BoundaryEstimate", "DivisionByZeroWeight", "EmptyRegion", "EmptySample", "EmptyStratum",
-        "InvalidSpec", "MechanismMismatch", "NegativeVarianceCombination", "PrevBiasError",
-        "TooLarge", "UndefinedActiveInfo", "ZeroTestingMass",
+        "BoundaryEstimate", "EmptyRegion", "EmptySample", "EmptyStratum", "InvalidSpec",
+        "MechanismMismatch", "NegativeVarianceCombination", "PrevBiasError", "TooLarge",
+        "UndefinedActiveInfo", "ZeroTestingMass",
     ),
     "estimators": (
-        "EstimateBundle", "active_info_estimates", "build_bundle", "conditional_targets",
-        "p0_hat_general", "p0_hat_mar", "p0_hat_maxent", "p_hat", "share_weighted_p0",
+        "EstimateBundle", "active_info_estimates", "build_bundle", "p0_hat_mar", "p_hat",
+        "share_weighted_p0",
     ),
     "experiments": ("ExperimentReport", "ReportRow", "ScenarioConfig", "run_experiment"),
     "maxent": ("SimplexSlab", "covid_shares", "mean_shares"),

@@ -30,7 +30,7 @@ from .asymptotics import (
     sigma_p,
     sigma_p0,
 )
-from .config import load_scenario, parse_count_table
+from .config import load_scenario, parse_count_table, read_input
 from .errors import BoundaryEstimate, InvalidSpec, PrevBiasError
 from .estimators import build_bundle
 
@@ -103,7 +103,7 @@ def _jsonable(value):
 
 
 def cmd_estimate(args) -> int:
-    raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_bytes()
+    raw = sys.stdin.buffer.read() if args.input == "-" else read_input(args.input)
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # bad JSON or encoding, or an integer beyond the 4300-digit limit
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         # Python flushes stdout again at exit: send that flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (FileNotFoundError, InvalidSpec) as exc:
+    except InvalidSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrevBiasError as exc:

@@ -86,13 +86,21 @@ def parse_scenario(doc: dict):
     )
 
 
+def read_input(path) -> bytes:
+    """The bytes of an input file; a file that cannot be read is invalid input."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InvalidSpec(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_scenario(path, seed=None):
     """Read a scenario file; returns the parsed config and the raw bytes
     (hashed into the run manifest).  A ``seed`` replaces the file's own in
     the document before it is parsed; the file's seed must still be present
     and valid, and is checked after the rest of the config."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
+    raw = read_input(path)
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or an integer beyond the 4300-digit limit

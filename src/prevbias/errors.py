@@ -34,10 +34,6 @@ class EmptyStratum(PrevBiasError):
         super().__init__(message or f"no tested individuals in symptom classes {self.strata}")
 
 
-class DivisionByZeroWeight(PrevBiasError):
-    """A zero sampling-fraction estimate would have to be inverted."""
-
-
 class TooLarge(PrevBiasError):
     """An exact enumeration or sum was requested above its supported size."""
 

@@ -72,11 +72,6 @@ class SimplexSlab:
     def s(self) -> int:
         return len(self.lower)
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the region is the single point ``lower`` (= ``upper``)."""
-        return self.lower == self.upper
-
 
 def mean_shares(slab: SimplexSlab) -> tuple[float, ...]:
     """Exact mean of the uniform distribution on the feasible share region.

@@ -221,11 +221,6 @@ class PopulationSpec:
         return self._n_si
 
     @property
-    def n_s(self) -> np.ndarray:
-        """Symptom-class sizes ``N_s = N_s0 + N_s1``."""
-        return self._n_si.sum(axis=1)
-
-    @property
     def rho_s(self) -> np.ndarray:
         """Symptom-class shares ``rho_s = rho_s0 + rho_s1``."""
         return self.rho.sum(axis=1)

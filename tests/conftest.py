@@ -226,7 +226,7 @@ def expected_shares(slab: SimplexSlab, rng=None, n_samples: int = 4096) -> Share
         If the acceptance rate stays below ``1e-6``, i.e. the region is too
         thin a sliver of the simplex for rejection sampling to be practical.
     """
-    if slab.is_degenerate:
+    if slab.lower == slab.upper:
         zeros = np.zeros(slab.s)
         return ShareEstimate(
             estimate=np.array(slab.lower), stderr=zeros, n_samples=0, acceptance_rate=1.0

@@ -135,9 +135,13 @@ class TestEstimate:
         assert proc.returncode == 2
         assert "exceeds the population" in proc.stderr
 
-    def test_invalid_json_exit_2(self):
+    def test_invalid_json_exit_2(self, tmp_path):
         proc = run_cli(["estimate"], stdin="{not json")
         assert proc.returncode == 2
+        # a directory cannot be read at all
+        proc = run_cli(["estimate", "--input", str(tmp_path)])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "counts.json"
@@ -154,6 +158,16 @@ class TestEstimate:
         assert main(["estimate", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: input is not valid JSON: ") and len(err.splitlines()) == 1
+        # stdin is read as bytes too, so the stream's encoding does not matter
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        for stream_env in (dict(env, PYTHONIOENCODING="utf-8"), env):
+            proc = subprocess.run(
+                [sys.executable, "-m", "prevbias", "estimate"],
+                input=path.read_bytes(),
+                capture_output=True,
+                env=stream_env,
+            )
+            assert (proc.returncode, proc.stderr.decode()) == (2, err)
 
     # unbuffered, the write fails in print; buffered, in the flush after it
     @pytest.mark.parametrize("unbuffered", ["1", ""])
@@ -293,8 +307,13 @@ class TestRun:
         assert list(tmp_path.iterdir()) == [config]
 
     def test_missing_config_exit_2(self, tmp_path):
-        proc = run_cli(["run", "--config", str(tmp_path / "nope.json")])
-        assert proc.returncode == 2
+        for config, reason in (
+            (tmp_path / "nope.json", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            proc = run_cli(["run", "--config", str(config)])
+            assert proc.returncode == 2
+            assert proc.stderr == f"error: cannot read {config}: {reason}\n"
 
     def test_csv_round_trip_parses_as_floats(self, tmp_path):
         config = small_config(tmp_path)

@@ -6,32 +6,26 @@ import numpy as np
 import pytest
 
 from prevbias import (
-    DivisionByZeroWeight,
     EmptySample,
     EmptyStratum,
     InvalidSpec,
     Mechanism,
-    MechanismMismatch,
     PopulationSpec,
     RngStream,
-    SimplexSlab,
     TestingOutcome as Outcome,
     UndefinedActiveInfo,
     active_info_estimates,
     build_bundle,
-    conditional_targets,
     covid_shares,
     draw_outcome,
     enumerate_outcomes,
-    p0_hat_general,
     p0_hat_mar,
-    p0_hat_maxent,
     p_hat,
     population_prevalence,
     share_weighted_p0,
 )
 
-from conftest import MNAR_CORRECTED_LIMIT, MNAR_P, PI_MAR, base_spec, sample_fractions
+from conftest import MNAR_CORRECTED_LIMIT, MNAR_P, PI_MAR
 
 REFERENCE_COUNTS = Outcome(counts=[[380, 20], [40, 60]], n=10_000)
 
@@ -49,48 +43,6 @@ class TestPHat:
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
             p_hat(Outcome(counts=[[0, 0], [0, 0]], n=100))
-
-
-class TestGeneralCorrection:
-    def test_equal_weights_collapse_to_p_hat(self):
-        weights = np.full((2, 2), 0.37)
-        assert p0_hat_general(REFERENCE_COUNTS, weights) == pytest.approx(
-            p_hat(REFERENCE_COUNTS), abs=1e-15
-        )
-
-    def test_equal_weights_collapse_fuzzed(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            counts = rng.integers(0, 30, size=(3, 2))
-            if counts.sum() == 0:
-                continue
-            out = Outcome(counts=counts, n=1000)
-            w = float(rng.uniform(0.1, 1.0))
-            assert p0_hat_general(out, np.full((3, 2), w)) == pytest.approx(
-                p_hat(out), abs=1e-12
-            )
-
-    def test_reference_weighting(self):
-        weights = np.array([[0.8, 0.8], [0.2, 0.2]])
-        assert p0_hat_general(REFERENCE_COUNTS, weights) == pytest.approx(0.325, abs=1e-15)
-
-    def test_zero_weight_on_nonzero_count_rejected(self):
-        weights = np.array([[0.8, 0.0], [0.2, 0.2]])
-        with pytest.raises(DivisionByZeroWeight):
-            p0_hat_general(REFERENCE_COUNTS, weights)
-
-    def test_true_sampling_fractions_invert_the_bias_exactly(self):
-        # with the realised per-cell fractions as weights, the correction
-        # returns the population prevalence whenever every cell was sampled
-        spec = PopulationSpec(20, (("0.4", "0.1"), ("0.3", "0.2")), [[0.3, 0.6], [0.5, 0.8]])
-        p0 = population_prevalence(spec)
-        checked = 0
-        for outcome, _ in enumerate_outcomes(spec):
-            if np.all(np.array(outcome.counts) > 0):
-                estimate = p0_hat_general(outcome, np.array(outcome.counts) / spec.n_si)
-                assert estimate == pytest.approx(p0, abs=1e-12)
-                checked += 1
-        assert checked > 100
 
 
 class TestKnownShareCorrection:
@@ -139,14 +91,16 @@ class TestBoundedShareCorrection:
     def test_reference_two_class_value(self):
         out = Outcome(counts=[[380, 20], [40, 60]], n=1000)
         assert out.n_t == 500 and list(out.n_ts) == [400, 100]
-        assert p0_hat_maxent(out) == pytest.approx(0.05 * 0.85 + 0.6 * 0.15, abs=1e-15)
+        assert build_bundle(out, Mechanism.maxent()).p0_hat == pytest.approx(
+            0.05 * 0.85 + 0.6 * 0.15, abs=1e-15
+        )
 
     def test_closed_form_equals_share_pipeline(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             counts = rng.integers(1, 40, size=(2, 2))
             out = Outcome(counts=counts, n=int(counts.sum() * 3))
-            direct = p0_hat_maxent(out)
+            direct = build_bundle(out, Mechanism.maxent()).p0_hat
             shares = covid_shares(out.n, out.n_t, int(out.n_ts[1]))
             two_term = (out.counts[0][1] / out.n_ts[0]) * shares[0] + (
                 out.counts[1][1] / out.n_ts[1]
@@ -157,22 +111,22 @@ class TestBoundedShareCorrection:
     def test_degenerate_bounds_reproduce_known_share_estimator_bitwise(self):
         rng = np.random.default_rng(31)
         shares = np.array([0.8, 0.2])
-        slab = SimplexSlab(shares, shares)
+        mechanism = Mechanism.maxent(shares, shares)
         for _ in range(50):
             counts = rng.integers(1, 50, size=(2, 2))
             out = Outcome(counts=counts, n=int(counts.sum() * 2))
-            assert p0_hat_maxent(out, slab) == p0_hat_mar(out, shares)
+            assert build_bundle(out, mechanism).p0_hat == p0_hat_mar(out, shares)
 
     def test_census_degenerates_to_p_hat(self):
         out = Outcome(counts=[[8, 2], [6, 4]], n=20)
         shares = covid_shares(20, 20, 10)
         assert shares[1] == pytest.approx(0.5, abs=1e-15)
-        assert p0_hat_maxent(out) == pytest.approx(p_hat(out), abs=1e-15)
+        assert build_bundle(out, Mechanism.maxent()).p0_hat == pytest.approx(p_hat(out), abs=1e-15)
 
     def test_empty_class_rejected(self):
         out = Outcome(counts=[[10, 2], [0, 0]], n=100)
         with pytest.raises(EmptyStratum):
-            p0_hat_maxent(out)
+            build_bundle(out, Mechanism.maxent())
 
 
 class TestActiveInfoEstimates:
@@ -202,34 +156,6 @@ class TestActiveInfoEstimates:
             a, b = rng.uniform(1e-6, 1.0, size=2)
             i_t, i_c = active_info_estimates(a, b)
             assert i_t + i_c == 0.0
-
-
-class TestConditionalTargets:
-    def test_expected_class_mix_reproduces_testing_prevalence(self, spec_mar):
-        out = Outcome(counts=[[76, 4], [30, 150]], n=1000)
-        assert sample_fractions(out) == pytest.approx([80 / 260, 180 / 260], abs=1e-15)
-        p_bar, _ = conditional_targets(spec_mar, out)
-        assert p_bar == pytest.approx(float(7) / 13, abs=1e-12)
-
-    def test_even_mix_value(self):
-        spec = base_spec(PI_MAR)
-        out = Outcome(counts=[[120, 10], [30, 100]], n=1000)
-        p_bar, i_bar = conditional_targets(spec, out)
-        assert p_bar == pytest.approx(0.5 * 0.0625 + 0.5 * 0.75, abs=1e-12)
-        assert i_bar == pytest.approx(math.log(0.40625 / 0.2), abs=1e-12)
-
-    def test_zero_information_when_mix_matches_population(self):
-        spec = base_spec(PI_MAR)
-        out = Outcome(counts=[[200, 8], [10, 42]], n=1000)
-        assert sample_fractions(out) == [0.8, 0.2]
-        p_bar, i_bar = conditional_targets(spec, out)
-        assert p_bar == pytest.approx(0.2, abs=1e-12)
-        assert i_bar == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_symptom_only_testing(self, spec_mnar):
-        out = draw_outcome(spec_mnar, RngStream(5))
-        with pytest.raises(MechanismMismatch):
-            conditional_targets(spec_mnar, out)
 
 
 class TestBundle:

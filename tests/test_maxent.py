@@ -34,10 +34,6 @@ class TestSlab:
         with pytest.raises(EmptyRegion):
             SimplexSlab([0.1, 0.1], [0.3, 0.3])  # upper sum < 1
 
-    def test_degenerate_detection(self):
-        assert SimplexSlab([0.8, 0.2], [0.8, 0.2]).is_degenerate
-        assert not SimplexSlab([0.7, 0.1], [0.9, 0.3]).is_degenerate
-
 
 class TestExpectedShares:
     def test_point_mass_is_exact_and_consumes_no_randomness(self):

@@ -16,20 +16,24 @@ import prevbias
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the export list before the estimators moved off numpy, less the helpers only
-# tests called (`p0_hat_mcar`, the biased estimate under another name, and
-# `draw_count_matrices`, a bulk draw from one stream)
+# tests called (`p0_hat_mcar`, the biased estimate under another name;
+# `draw_count_matrices`, a bulk draw from one stream; `p0_hat_general`, a
+# per-cell weighted estimate, with `DivisionByZeroWeight`, its one error;
+# `conditional_targets`, the positive rate expected from the true class
+# prevalences; and `p0_hat_maxent`, the maxent estimate that `build_bundle`
+# gives)
 EXPORTS = [
-    "AsymptoticQuantities", "BoundaryEstimate", "ConfidenceInterval", "DivisionByZeroWeight",
-    "EmptyRegion", "EmptySample", "EmptyStratum", "EstimateBundle", "ExperimentReport",
+    "AsymptoticQuantities", "BoundaryEstimate", "ConfidenceInterval", "EmptyRegion",
+    "EmptySample", "EmptyStratum", "EstimateBundle", "ExperimentReport",
     "InvalidSpec", "Mechanism", "MechanismMismatch", "NegativeVarianceCombination",
     "PopulationSpec", "PrevBiasError", "ReportRow", "RngStream", "ScenarioConfig", "SimplexSlab",
     "TestingOutcome", "TooLarge", "UndefinedActiveInfo", "VarianceEstimates", "ZeroTestingMass",
     "active_info_estimates", "active_info_testing", "asymptotics", "build_bundle",
-    "ci_active_info", "ci_logit_prevalence", "conditional_targets", "corrected_prevalence_limit",
+    "ci_active_info", "ci_logit_prevalence", "corrected_prevalence_limit",
     "coverage_scenario", "covid_shares", "draw_outcome", "enumerate_outcomes", "errors",
     "estimators", "exact_quantities", "experiments",
     "mar_scenario", "maxent", "mcar_scenario", "mean_shares", "mechanism_plugin_inputs",
-    "mnar_scenario", "model", "normal_quantile", "p0_hat_general", "p0_hat_mar", "p0_hat_maxent",
+    "mnar_scenario", "model", "normal_quantile", "p0_hat_mar",
     "p_hat", "plugin_variances", "population_prevalence", "rng", "run_experiment", "sampler",
     "scenarios", "share_weighted_p0", "sigma_it", "sigma_p", "sigma_p0", "testing_prevalence",
 ]

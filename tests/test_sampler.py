@@ -122,7 +122,7 @@ class TestEnumeration:
         spec = small_spec(pi=0.5)
         outcomes = enumerate_outcomes(spec)
         for s in (0, 1):
-            n_s = int(spec.n_s[s])
+            n_s = int(spec.n_si[s].sum())
             k_s = int(spec.n_si[s, 1])
             for t in (1, 3, 5):
                 mass = {}
