@@ -20,8 +20,7 @@ __version__ = "0.2.0"
 _EXPORTS = {
     "asymptotics": (
         "ConfidenceInterval", "VarianceEstimates", "ci_active_info", "ci_logit_prevalence",
-        "mechanism_plugin_inputs", "normal_quantile", "plugin_variances", "sigma_it", "sigma_p",
-        "sigma_p0",
+        "normal_quantile", "sigma_it", "sigma_p", "sigma_p0",
     ),
     "errors": (
         "BoundaryEstimate", "EmptyRegion", "EmptySample", "EmptyStratum", "InvalidSpec",
@@ -29,8 +28,7 @@ _EXPORTS = {
         "UndefinedActiveInfo", "ZeroTestingMass",
     ),
     "estimators": (
-        "EstimateBundle", "active_info_estimates", "build_bundle", "p0_hat_mar", "p_hat",
-        "share_weighted_p0",
+        "EstimateBundle", "active_info_estimates", "build_bundle", "p_hat",
     ),
     "experiments": ("ExperimentReport", "ReportRow", "ScenarioConfig", "run_experiment"),
     "maxent": ("SimplexSlab", "covid_shares", "mean_shares"),

@@ -29,7 +29,6 @@ from .errors import (
     NegativeVarianceCombination,
 )
 from .maxent import ordered_sum
-from .model import MCAR, Mechanism, _floats
 from .sampler import TestingOutcome
 
 _CLIP_TOL = 1e-9
@@ -105,7 +104,9 @@ def _class_sums(w, w_den, pi, rate) -> tuple:
 def _table_sums(outcome: TestingOutcome, w, pi) -> tuple:
     """:func:`_class_sums` of one table with ``w`` as weight and share, and
     whether a weighted class has a positive rate of 0 or 1; zero-weight
-    classes are inactive.  Raises as :func:`plugin_variances` documents."""
+    classes are inactive.  A weighted class must hold tested individuals
+    (:class:`EmptyStratum`, checked before ``pi`` is read) and a positive
+    ``pi``, and the testing mass must be positive (:class:`InvalidSpec`)."""
     active = [x > 0.0 for x in w]
     missing = [s for s, (on, n) in enumerate(zip(active, outcome.n_ts)) if on and n == 0]
     if missing:
@@ -119,36 +120,6 @@ def _table_sums(outcome: TestingOutcome, w, pi) -> tuple:
     except ZeroDivisionError:
         raise InvalidSpec("total estimated testing mass must be positive") from None
     return sums, any(on and (r == 0.0 or r == 1.0) for on, r in zip(active, rates))
-
-
-def plugin_variances(outcome: TestingOutcome, pi_hat_s, rho_hat_s) -> VarianceEstimates:
-    """Evaluate the variance components at the estimated quantities.
-
-    ``rho_hat_s`` is both the limiting weight ``w`` and the share ``w_den``
-    of :func:`_class_sums`, which is the right choice under known shares,
-    where both equal ``rho_s``.  Classes with zero weight are ignored;
-    positively weighted classes must contain tested individuals
-    (:class:`EmptyStratum`) and carry a positive ``pi_hat``, and the testing
-    mass must be positive (:class:`InvalidSpec`).
-    """
-    pi_hat = _floats(pi_hat_s, outcome.s, "pi_hat_s")
-    rho_hat = _floats(rho_hat_s, outcome.s, "rho_hat_s")
-    (_, v1, v2, v3, v4), degenerate = _table_sums(outcome, rho_hat, pi_hat)
-    return VarianceEstimates(v1=v1, v2=v2, v3=v3, v4=v4, degenerate=degenerate)
-
-
-def mechanism_plugin_inputs(outcome: TestingOutcome, mechanism: Mechanism) -> tuple[tuple, tuple]:
-    """Derive ``(pi_hat_s, rho_hat_s)`` for :func:`plugin_variances`.
-
-    ``rho_hat_s`` is the mechanism's share vector (:meth:`Mechanism.shares`).
-    Under mcar the sampling fraction is pooled (``N_T / N``); under mar and
-    maxent it is ``pi_hat_s = N_Ts / (N * share_s)`` (NaN for a zero share).
-    """
-    rho_hat = mechanism.shares(outcome.n, outcome.n_ts)
-    if mechanism.kind == MCAR:
-        return (outcome.n_t / outcome.n,) * outcome.s, rho_hat
-    n = outcome.n
-    return tuple(c / (n * w) if w > 0 else math.nan for c, w in zip(outcome.n_ts, rho_hat)), rho_hat
 
 
 def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInterval:

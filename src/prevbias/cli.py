@@ -21,15 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import (
-    ci_active_info,
-    ci_logit_prevalence,
-    mechanism_plugin_inputs,
-    plugin_variances,
-    sigma_it,
-    sigma_p,
-    sigma_p0,
-)
+from .asymptotics import ci_active_info, ci_logit_prevalence, sigma_it, sigma_p, sigma_p0
 from .config import load_scenario, parse_count_table, read_input
 from .errors import BoundaryEstimate, InvalidSpec, PrevBiasError
 from .estimators import build_bundle
@@ -103,7 +95,12 @@ def _jsonable(value):
 
 
 def cmd_estimate(args) -> int:
-    raw = sys.stdin.buffer.read() if args.input == "-" else read_input(args.input)
+    if args.input != "-":
+        raw = read_input(args.input)
+    elif sys.stdin is None:  # Python's stdin when fd 0 was closed at startup
+        raise InvalidSpec("cannot read stdin: it is closed")
+    else:
+        raw = sys.stdin.buffer.read()
     try:
         doc = json.loads(raw)
     except ValueError as exc:  # bad JSON or encoding, or an integer beyond the 4300-digit limit
@@ -129,8 +126,8 @@ def cmd_estimate(args) -> int:
     if empty:
         warnings.append(f"symptom classes without tested individuals: {empty}")
 
+    v = bundle.variances
     try:
-        v = plugin_variances(outcome, *mechanism_plugin_inputs(outcome, mechanism))
         if v.degenerate:
             warnings.append("a class positive rate is 0 or 1; its variance contribution is zero")
         # both or neither: a negative variance leaves no sigma behind
@@ -168,7 +165,6 @@ def cmd_run(args) -> int:
     cfg, raw = load_scenario(args.config, args.seed)
     report = run_experiment(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def row_table(names):
         return {name: [getattr(row, name) for row in report.rows] for name in names}
@@ -180,9 +176,6 @@ def cmd_run(args) -> int:
         "cifan": report.fan,
     }
     files = {key: out_dir / f"{cfg.label}_{key}.{args.format}" for key in tables}
-    for key, table in tables.items():
-        _write_table(files[key], table, args.format)
-
     manifest = {
         "label": cfg.label,
         "version": __version__,
@@ -195,7 +188,13 @@ def cmd_run(args) -> int:
         "format": args.format,
         "files": {key: path.name for key, path in files.items()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for key, table in tables.items():
+            _write_table(files[key], table, args.format)
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:  # a runtime failure, reported in one line
+        raise PrevBiasError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from exc
     return 0
 
 

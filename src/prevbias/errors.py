@@ -34,7 +34,7 @@ class EmptyStratum(PrevBiasError):
         super().__init__(message or f"no tested individuals in symptom classes {self.strata}")
 
 
-class TooLarge(PrevBiasError):
+class TooLarge(InvalidSpec):
     """An exact enumeration or sum was requested above its supported size."""
 
 

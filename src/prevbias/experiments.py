@@ -13,9 +13,10 @@ are byte-stable for a given configuration.
 The engine works on one grid position at a time.  It draws every replicate's
 counts, then computes the estimates, standard errors and intervals of all
 replicates at once (:func:`replicate_columns`) on numpy columns, through the
-kernels ``_class_sums`` and ``_logit_endpoints`` that the one-shot functions
-of :mod:`prevbias.asymptotics` and :mod:`prevbias.estimators`, its reference,
-call on Python floats; only ``math.log`` and ``math.exp`` run entry by entry.
+kernels ``_class_sums`` and ``_logit_endpoints`` that its reference, the
+one-shot :func:`prevbias.estimators.build_bundle` and
+:func:`prevbias.asymptotics.ci_logit_prevalence`, call on Python floats;
+only ``math.log`` and ``math.exp`` run entry by entry.
 
 Aggregation of the information tables averages the probability estimates
 across replicates first and takes logarithms of the means.  When the
@@ -167,13 +168,12 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     :meth:`Mechanism.shares` weights: by each replicate's sample fractions
     under mcar, else by the mechanism's fixed ``rho_s``.
 
-    Bit for bit what :func:`p_hat`, :func:`share_weighted_p0`,
-    :func:`mechanism_plugin_inputs`, :func:`plugin_variances`,
-    :func:`sigma_p0` and :func:`ci_logit_prevalence` give replicate by
-    replicate (for populations below 2**53): they call the same
-    :func:`_class_sums` and :func:`_logit_endpoints`, here on columns, and a
-    negative V3 in a kept replicate raises the
-    :class:`NegativeVarianceCombination` of :func:`sigma_p0`.
+    Bit for bit what :func:`build_bundle`, :func:`sigma_p0` and
+    :func:`ci_logit_prevalence` give replicate by replicate (for populations
+    below 2**53): they call the same :func:`_class_sums` and
+    :func:`_logit_endpoints`, here on columns, and a negative V3 in a kept
+    replicate raises the :class:`NegativeVarianceCombination` of
+    :func:`sigma_p0`.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_si = np.asarray(n_si, dtype=np.int64)
@@ -200,7 +200,7 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         ok = (n_t > 0) & ~np.any(active & (n_ts == 0), axis=1)
         rates = np.where(active, positives / n_ts, 0.0)
         degenerate = ok & np.any(active & ((rates == 0.0) | (rates == 1.0)), axis=1)
-        # as plugin_variances, with rho as both weight and share; (S, R) columns
+        # as build_bundle, with rho as both weight and share; (S, R) columns
         sums = _class_sums(
             np.where(active, rho, 0.0).T, np.where(active, rho, 1.0).T,
             np.where(active, pi_hat, 1.0).T, rates.T,

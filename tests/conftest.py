@@ -310,9 +310,9 @@ def covid_slab(n, n_t, n_t1):
 
 
 # The numpy plug-in variances that the one-shot estimators used before they
-# moved to Python floats: the oracle that `plugin_variances` and
-# `mechanism_plugin_inputs` are held to (bit for bit below eight classes,
-# where numpy sums left to right).
+# moved to Python floats: the oracle that the plug-in variances of
+# `build_bundle` are held to (bit for bit below eight classes, where numpy
+# sums left to right).
 
 
 def oracle_plugin_variances(outcome, pi_hat_s, rho_hat_s, rho_bar_hat_s=None):

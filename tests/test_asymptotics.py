@@ -16,13 +16,11 @@ from prevbias import (
     TestingOutcome as Outcome,
     VarianceEstimates,
     ci_active_info,
+    build_bundle,
     ci_logit_prevalence,
     draw_outcome,
-    mechanism_plugin_inputs,
     normal_quantile,
-    p0_hat_mar,
     p_hat,
-    plugin_variances,
     sigma_it,
     sigma_p,
     sigma_p0,
@@ -52,8 +50,7 @@ class TestPluginVariances:
     def test_large_population_plugin_is_consistent(self):
         spec = base_spec(PI_MAR, n=10**6)
         out = draw_outcome(spec, RngStream(2024, 0))
-        pi_hat, rho_hat = mechanism_plugin_inputs(out, Mechanism.mar(("0.8", "0.2")))
-        v = plugin_variances(out, pi_hat, rho_hat)
+        v = build_bundle(out, Mechanism.mar(("0.8", "0.2"))).variances
         assert v.v1 == pytest.approx(MAR_V[0], rel=0.05)
         assert v.v2 == pytest.approx(MAR_V[1], rel=0.05)
         assert v.v3 == pytest.approx(MAR_V[2], rel=0.05)
@@ -62,7 +59,7 @@ class TestPluginVariances:
 
     def test_degenerate_class_rates_flagged_with_zero_variances(self):
         out = Outcome(counts=[[5, 0], [7, 0]], n=100)
-        v = plugin_variances(out, [0.1, 0.1], [0.5, 0.5])
+        v = build_bundle(out, Mechanism.mar([0.5, 0.5])).variances
         assert v.degenerate
         assert v[:4] == (0.0, 0.0, 0.0, 0.0)
 
@@ -70,20 +67,20 @@ class TestPluginVariances:
         # 0/1 class rates zero the within-class noise terms, but the
         # between-class spread still feeds the share-noise component
         out = Outcome(counts=[[5, 0], [0, 5]], n=100)
-        v = plugin_variances(out, [0.1, 0.1], [0.5, 0.5])
+        v = build_bundle(out, Mechanism.mar([0.5, 0.5])).variances
         assert v.degenerate
         assert (v.v1, v.v3, v.v4) == (0.0, 0.0, 0.0)
         assert v.v2 > 0.0
 
     def test_census_class_has_zero_contribution(self):
         out = Outcome(counts=[[40, 10]], n=50)
-        v = plugin_variances(out, [1.0], [1.0])
+        v = build_bundle(out, Mechanism.mar([1.0])).variances
         assert v[:4] == (0.0, 0.0, 0.0, 0.0)
 
     def test_empty_weighted_class_rejected(self):
         out = Outcome(counts=[[5, 5], [0, 0]], n=100)
         with pytest.raises(EmptyStratum):
-            plugin_variances(out, [0.1, 0.1], [0.8, 0.2])
+            build_bundle(out, Mechanism.mar([0.8, 0.2]))
 
 
 class TestLogitInterval:
@@ -213,7 +210,7 @@ class TestMarginalSigmas:
     def test_class_tested_beyond_its_share_makes_the_plugin_variance_negative(self):
         # class 2 has 38 tested individuals, more than N * 0.2 = 20.4
         out = Outcome(counts=[[9, 5], [35, 15], [34, 4]], n=102)
-        v = plugin_variances(out, *mechanism_plugin_inputs(out, Mechanism.mar(["0.5", "0.3", "0.2"])))
+        v = build_bundle(out, Mechanism.mar(["0.5", "0.3", "0.2"])).variances
         assert v.v1 + v.v2 < 0.0
         with pytest.raises(NegativeVarianceCombination, match="tested beyond N times its share"):
             sigma_p(v, out.n)
@@ -221,13 +218,13 @@ class TestMarginalSigmas:
 
 def _mar_replicates(n, reps, seed):
     spec = base_spec(PI_MAR, n=n)
-    shares = np.array([0.8, 0.2])
+    mechanism = Mechanism.mar([0.8, 0.2])
     p_hats = np.empty(reps)
     p0_hats = np.empty(reps)
     for r in range(reps):
         out = draw_outcome(spec, RngStream(seed, r))
         p_hats[r] = p_hat(out)
-        p0_hats[r] = p0_hat_mar(out, shares)
+        p0_hats[r] = build_bundle(out, mechanism).p0_hat
     return p_hats, p0_hats
 
 

@@ -1,13 +1,14 @@
 """The batched replicate engine against the scalar estimators, bit for bit.
 
 `replicate_columns` computes every replicate of a counts array at once; the
-scalar oracle below runs the one-shot functions of `estimators` and
-`asymptotics` on one `TestingOutcome` at a time, as the engine did before it
-was batched.  Every per-replicate column must agree to the last bit (NaNs
-compare equal) on random count arrays for S = 2..5 and 9 classes, under
-mcar, mar and bounded maxent, with empty samples, empty weighted classes,
-zero and all positives, class rates of 0 or 1, infection-dependent testing
-probabilities, zero-share classes and zero-width intervals mixed in.
+scalar oracle below runs what `prevbias estimate` runs (`build_bundle`,
+`sigma_p0` and `ci_logit_prevalence`) on one `TestingOutcome` at a time, as
+the engine did before it was batched.  Every per-replicate column must agree
+to the last bit (NaNs compare equal) on random count arrays for S = 2..5 and
+9 classes, under mcar, mar and bounded maxent, with empty samples, empty
+weighted classes, zero and all positives, class rates of 0 or 1,
+infection-dependent testing probabilities, zero-share classes and zero-width
+intervals mixed in.
 """
 
 import math
@@ -22,11 +23,8 @@ from prevbias import (
     InvalidSpec,
     Mechanism,
     NegativeVarianceCombination,
+    build_bundle,
     ci_logit_prevalence,
-    mechanism_plugin_inputs,
-    p_hat,
-    plugin_variances,
-    share_weighted_p0,
     sigma_p0,
 )
 from prevbias.experiments import replicate_columns
@@ -50,12 +48,10 @@ def scalar_replicate(counts, n_si, mechanism, p0_true, alpha) -> dict:
     """One replicate through the scalar path; ``ValueError`` propagates."""
     outcome = Outcome(counts=counts, n=int(n_si.sum()))
     try:
-        p_h = p_hat(outcome)
-        p0_h = p_h if mechanism.kind == "mcar" else share_weighted_p0(outcome, mechanism.rho_s)
+        bundle = build_bundle(outcome, mechanism)
     except (EmptySample, EmptyStratum):
         return DISCARDED
-    pi_hat, rho_hat = mechanism_plugin_inputs(outcome, mechanism)
-    v = plugin_variances(outcome, pi_hat, rho_hat)
+    p_h, p0_h, v = bundle.p_hat, bundle.p0_hat, bundle.variances
     s_p0 = sigma_p0(v, outcome.n)
     try:
         ci = ci_logit_prevalence(p0_h, s_p0, alpha)

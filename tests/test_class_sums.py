@@ -1,11 +1,11 @@
 """The class-sum kernel on numpy columns against the one-shot path, bit for bit.
 
 `asymptotics._class_sums` computes the corrected estimate and V1..V4 from
-per-class values.  `share_weighted_p0` and `plugin_variances` call it on
-Python floats for one table, and the study engine calls it on numpy columns
-for a batch.  Here a batch of random tables goes through the kernel once, as
-``(S, R)`` columns masked by the inactive-class convention, and each of the
-five outputs must equal the scalar functions table by table, to the bit: for
+per-class values.  `build_bundle` calls it once on Python floats for one
+table, and the study engine calls it on numpy columns for a batch.  Here a
+batch of random tables goes through the kernel once, as ``(S, R)`` columns
+masked by the inactive-class convention, and each of the five outputs must
+equal the one-shot path table by table, to the bit: for
 S = 2..9, under mcar, mar and bounded maxent, with zero-share classes, empty
 classes and class rates of 0 or 1.  The planted tables are ones whose total
 testing mass ``d`` has ``d**2 != d * d`` in Python floats (libm ``pow`` is
@@ -14,7 +14,7 @@ not correctly rounded there on glibc 2.36), so a kernel that squares with
 
 The division-by-zero edges are pinned too: on Python floats a stray
 ``/ 0.0`` raises ``ZeroDivisionError`` where numpy gives inf, so the scalar
-callers must keep their own answers there.
+path must keep its own answers there.
 """
 
 import numpy as np
@@ -25,11 +25,11 @@ from prevbias import (
     InvalidSpec,
     Mechanism,
     TestingOutcome as Outcome,
-    mechanism_plugin_inputs,
-    plugin_variances,
-    share_weighted_p0,
+    build_bundle,
 )
-from prevbias.asymptotics import _class_sums
+from prevbias.asymptotics import _class_sums, _table_sums
+
+from conftest import oracle_plugin_inputs
 
 TABLES = 160  # per mechanism and class count
 KINDS = ("mcar", "mar", "maxent")
@@ -88,15 +88,19 @@ def _tables(kind: str, s_count: int):
 
 
 def _scalar(outcome, mech) -> list[float]:
-    """p0, V1..V4 of one table through the one-shot functions."""
-    pi_hat, rho_hat = mechanism_plugin_inputs(outcome, mech)
-    return [share_weighted_p0(outcome, rho_hat), *plugin_variances(outcome, pi_hat, rho_hat)[:4]]
+    """p0, V1..V4 of one table through the one-shot path.  Under mcar the
+    reply's p0_hat is p_hat, so the kernel's p0 is read from `_table_sums`."""
+    bundle = build_bundle(outcome, mech)
+    p0 = bundle.p0_hat
+    if mech.kind == "mcar":
+        p0 = _table_sums(outcome, bundle.rho_hat, (outcome.n_t / outcome.n,) * outcome.s)[0][0]
+    return [p0, *bundle.variances[:4]]
 
 
 def _columns(tables) -> tuple:
     """The kernel's inputs for every table, as ``(S, R)`` columns with
     inactive classes set to ``w = 0``, ``w_den = 1``, ``pi = 1``, ``rate = 0``."""
-    pi_hat, rho_hat = np.array([mechanism_plugin_inputs(o, m) for o, m in tables]).transpose(1, 2, 0)
+    pi_hat, rho_hat = np.array([oracle_plugin_inputs(o, m) for o, m in tables]).transpose(1, 2, 0)
     counts = np.array([o.counts for o, _ in tables]).transpose(1, 2, 0)
     active = rho_hat > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -136,23 +140,14 @@ def test_tables_whose_mass_pow_is_not_correctly_rounded(counts, n, mech):
 class TestDivisionByZeroEdges:
     outcome = Outcome(counts=[[30, 10], [5, 5]], n=100)
 
-    def test_all_zero_shares_give_zero(self):
-        assert share_weighted_p0(self.outcome, [0, 0]) == 0.0
-        assert share_weighted_p0(Outcome(counts=[[0, 0], [0, 0]], n=10), [0.0, 0.0]) == 0.0
-
-    def test_shares_whose_total_squares_to_zero(self):
-        tiny = 5e-324
-        assert share_weighted_p0(self.outcome, [tiny, 0.0]) == tiny * (10 / 40)
-        assert share_weighted_p0(self.outcome, [1e-200, 1e-200]) == 1e-200 * (10 / 40) + 1e-200 * (5 / 10)
+    def test_a_subnormal_share_enters_the_estimate(self):
+        # pi_hat = 10 / (100 * 5e-324) overflows to inf, and so does the testing mass
+        outcome = Outcome(counts=[[0, 10], [10, 0]], n=100)
+        assert build_bundle(outcome, Mechanism.mar([5e-324, 1.0])).p0_hat == 5e-324
 
     def test_an_empty_weighted_class_is_still_an_empty_stratum(self):
         with pytest.raises(EmptyStratum):
-            share_weighted_p0(Outcome(counts=[[3, 1], [0, 0]], n=10), [0.0, 1.0])
-
-    @pytest.mark.parametrize("shares", [[-0.5, 1.5], [float("inf"), 0.0], [float("nan"), 1.0]])
-    def test_shares_must_be_finite_and_nonnegative(self, shares):
-        with pytest.raises(InvalidSpec, match="shares"):
-            share_weighted_p0(self.outcome, shares)
+            build_bundle(Outcome(counts=[[3, 1], [0, 0]], n=10), Mechanism.mar([0.0, 1.0]))
 
     @pytest.mark.parametrize(
         "pi_hat, rho_hat",
@@ -164,7 +159,7 @@ class TestDivisionByZeroEdges:
     )
     def test_zero_testing_mass_is_invalid(self, pi_hat, rho_hat):
         with pytest.raises(InvalidSpec, match="testing mass"):
-            plugin_variances(self.outcome, pi_hat, rho_hat)
+            _table_sums(self.outcome, rho_hat, pi_hat)
 
     @pytest.mark.parametrize(
         "w, pi, rate",

@@ -142,6 +142,12 @@ class TestEstimate:
         proc = run_cli(["estimate", "--input", str(tmp_path)])
         assert proc.returncode == 2
         assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
+        # nor can a stdin closed before Python starts, which leaves sys.stdin None
+        proc = subprocess.run(
+            [sys.executable, "-m", "prevbias", "estimate"], capture_output=True, text=True,
+            preexec_fn=lambda: os.close(0),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: cannot read stdin: it is closed\n")
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "counts.json"
@@ -357,6 +363,32 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: no share vector satisfies the bounds")
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_maxent_bounds_beyond_the_exact_sum_exit_2_and_write_nothing(self, capsys, tmp_path):
+        # 14 classes whose bounds differ, one more than the exact mean shares take
+        mechanism = {"type": "maxent", "lower": [0] * 14, "upper": [0.2] * 14}
+        table = tmp_path / "counts.json"
+        table.write_text(json.dumps({"N": 1000, "counts": [[5, 5]] * 14, "mechanism": mechanism}))
+        config = small_config(tmp_path, mechanism=mechanism)
+        for args in (
+            ["estimate", "--input", str(table)],
+            ["run", "--config", str(config), "--out-dir", str(tmp_path / "out")],
+        ):
+            assert main(args) == 2
+            assert capsys.readouterr() == ("", "error: exact mean shares support at most 13 free classes, got 14\n")
+        assert sorted(tmp_path.iterdir()) == sorted([table, config])
+
+    def test_out_dir_that_cannot_be_written_exits_3_in_one_line(self, capsys, tmp_path):
+        config = small_config(tmp_path)
+        blocked = tmp_path / "blocked"
+        (blocked / "mar_activeinfo.csv").mkdir(parents=True)  # a directory where a table goes
+        for out_dir, path, reason in (
+            (config, config, "File exists"),
+            (config / "sub", config / "sub", "Not a directory"),
+            (blocked, blocked / "mar_activeinfo.csv", "Is a directory"),
+        ):
+            assert main(["run", "--config", str(config), "--out-dir", str(out_dir)]) == 3
+            assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
 
 
 class TestTableWriter:

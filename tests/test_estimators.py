@@ -19,10 +19,8 @@ from prevbias import (
     covid_shares,
     draw_outcome,
     enumerate_outcomes,
-    p0_hat_mar,
     p_hat,
     population_prevalence,
-    share_weighted_p0,
 )
 
 from conftest import MNAR_CORRECTED_LIMIT, MNAR_P, PI_MAR
@@ -48,23 +46,23 @@ class TestPHat:
 class TestKnownShareCorrection:
     def test_reference_shares(self):
         out = Outcome(counts=[[380, 20], [25, 75]], n=10_000)
-        assert p0_hat_mar(out, (0.8, 0.2)) == pytest.approx(
+        assert build_bundle(out, Mechanism.mar((0.8, 0.2))).p0_hat == pytest.approx(
             0.8 * (20 / 400) + 0.2 * 0.75, abs=1e-15
         )
 
     def test_single_class_degenerates_to_p_hat(self):
         out = Outcome(counts=[[40, 10]], n=100)
-        assert p0_hat_mar(out, (1.0,)) == pytest.approx(p_hat(out), abs=1e-15)
+        assert build_bundle(out, Mechanism.mar((1.0,))).p0_hat == pytest.approx(p_hat(out), abs=1e-15)
 
     def test_empty_weighted_class_rejected(self):
         out = Outcome(counts=[[40, 10], [0, 0]], n=100)
         with pytest.raises(EmptyStratum) as info:
-            p0_hat_mar(out, (0.8, 0.2))
+            build_bundle(out, Mechanism.mar((0.8, 0.2)))
         assert info.value.strata == (1,)
 
     def test_shares_must_sum_to_one(self):
         with pytest.raises(InvalidSpec):
-            p0_hat_mar(REFERENCE_COUNTS, (0.8, 0.1))
+            build_bundle(REFERENCE_COUNTS, Mechanism.mar((0.8, 0.1)))
 
     def test_enumerated_conditional_mean_recovers_the_truth(self):
         # conditionally on every class being sampled, the known-share
@@ -72,13 +70,13 @@ class TestKnownShareCorrection:
         # draw-without-replacement laws)
         spec = PopulationSpec(20, (("0.4", "0.1"), ("0.3", "0.2")), PI_MAR)
         p0 = population_prevalence(spec)
-        rho_s = spec.rho_s
+        mechanism = Mechanism.mar(spec.rho_s)
         kept_mass = 0.0
         kept_mean = 0.0
         discarded_mass = 0.0
         for outcome, prob in enumerate_outcomes(spec):
             if np.all(np.array(outcome.n_ts) > 0):
-                kept_mean += prob * p0_hat_mar(outcome, rho_s)
+                kept_mean += prob * build_bundle(outcome, mechanism).p0_hat
                 kept_mass += prob
             else:
                 discarded_mass += prob
@@ -106,16 +104,16 @@ class TestBoundedShareCorrection:
                 out.counts[1][1] / out.n_ts[1]
             ) * shares[1]
             assert direct == pytest.approx(two_term, abs=1e-12)
-            assert direct == pytest.approx(share_weighted_p0(out, shares), abs=0)
+            assert direct == pytest.approx(build_bundle(out, Mechanism.mar(shares)).p0_hat, abs=0)
 
     def test_degenerate_bounds_reproduce_known_share_estimator_bitwise(self):
         rng = np.random.default_rng(31)
         shares = np.array([0.8, 0.2])
-        mechanism = Mechanism.maxent(shares, shares)
+        mechanism, known = Mechanism.maxent(shares, shares), Mechanism.mar(shares)
         for _ in range(50):
             counts = rng.integers(1, 50, size=(2, 2))
             out = Outcome(counts=counts, n=int(counts.sum() * 2))
-            assert build_bundle(out, mechanism).p0_hat == p0_hat_mar(out, shares)
+            assert build_bundle(out, mechanism).p0_hat == build_bundle(out, known).p0_hat
 
     def test_census_degenerates_to_p_hat(self):
         out = Outcome(counts=[[8, 2], [6, 4]], n=20)
@@ -182,4 +180,4 @@ class TestBundle:
         bundle = build_bundle(out, mech)
         shares = bundle.rho_hat
         assert shares[1] == pytest.approx(0.2, abs=0.01)
-        assert bundle.p0_hat == pytest.approx(share_weighted_p0(out, shares), abs=0)
+        assert bundle.p0_hat == pytest.approx(build_bundle(out, Mechanism.mar(shares)).p0_hat, abs=0)

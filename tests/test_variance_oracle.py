@@ -1,6 +1,6 @@
 """The float plug-in variances against the numpy oracle they were ported from.
 
-`plugin_variances` and `mechanism_plugin_inputs` compute on Python floats;
+`build_bundle` computes them on Python floats;
 `conftest.oracle_plugin_variances` and `conftest.oracle_plugin_inputs` keep
 their numpy form.  numpy adds fewer than eight terms left to right from 0.0,
 as `prevbias.maxent.ordered_sum` does, so below eight classes the variances,
@@ -27,9 +27,7 @@ from prevbias import (
     TestingOutcome as Outcome,
     build_bundle,
     ci_logit_prevalence,
-    mechanism_plugin_inputs,
     normal_quantile,
-    plugin_variances,
     sigma_p,
     sigma_p0,
 )
@@ -70,13 +68,21 @@ def _tables(s_count: int):
         yield Outcome(counts=counts, n=n), mech, ALPHAS[k % len(ALPHAS)]
 
 
-def _evaluate(outcome, mech, alpha, inputs, variances):
+def _oracle(outcome, mech, bundle):
+    return oracle_plugin_variances(outcome, *oracle_plugin_inputs(outcome, mech))
+
+
+def _ported(outcome, mech, bundle):
+    return bundle.variances
+
+
+def _evaluate(outcome, mech, alpha, variances):
     """V1..V4, the degeneracy flag, sigma_p, sigma_p0 and the logit intervals
     of p_hat and p0_hat (NaN endpoints on a boundary estimate) as one list of
     floats, or the type of the error raised."""
     try:
         bundle = build_bundle(outcome, mech)
-        v = variances(outcome, *inputs(outcome, mech))
+        v = variances(outcome, mech, bundle)
         sigmas = (sigma_p(v, outcome.n), sigma_p0(v, outcome.n))
     except PrevBiasError as exc:
         return type(exc)
@@ -91,8 +97,8 @@ def _evaluate(outcome, mech, alpha, inputs, variances):
 
 
 def _both(outcome, mech, alpha):
-    oracle = _evaluate(outcome, mech, alpha, oracle_plugin_inputs, oracle_plugin_variances)
-    ported = _evaluate(outcome, mech, alpha, mechanism_plugin_inputs, plugin_variances)
+    oracle = _evaluate(outcome, mech, alpha, _oracle)
+    ported = _evaluate(outcome, mech, alpha, _ported)
     return oracle, ported
 
 
@@ -121,7 +127,7 @@ def test_eight_classes_and_more_agree_within_the_summation_bound(s_count):
     tol = 3 * s_count * sys.float_info.epsilon
     compared = 0
     for outcome, mech, alpha in _tables(s_count):
-        pi_hat, rho_hat = mechanism_plugin_inputs(outcome, mech)
+        pi_hat, rho_hat = oracle_plugin_inputs(outcome, mech)
         if any(w > 0.0 and p > 1.0 for p, w in zip(pi_hat, rho_hat)):
             continue
         oracle, ported = _both(outcome, mech, alpha)
