@@ -33,6 +33,7 @@ from .sampler import TestingOutcome
 
 _CLIP_TOL = 1e-9
 _NEGATIVE_CAUSE = "a symptom class was tested beyond N times its share"
+_EXTREME_CAUSE = "a share or an estimate is too close to 0 for float arithmetic"
 # logit-interval endpoints are clamped strictly inside (0, 1)
 _ABOVE_ZERO = math.nextafter(0.0, 1.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
@@ -77,16 +78,16 @@ class VarianceEstimates(NamedTuple):
     degenerate: bool = False
 
 
-def _class_sums(w, w_den, pi, rate) -> tuple:
+def _class_sums(w, w_den, pi, rate, mass) -> tuple:
     """``(p0, v1, v2, v3, v4)`` from the limiting weight ``w``, the share
-    ``w_den``, the testing probability ``pi`` and the positive rate ``rate``
-    of each class; an inactive class carries ``(0, 1, 1, 0)`` and adds exact
-    zeros.  Entries are floats for one table or numpy columns for a batch,
-    with the same bits: only ``+ - * /`` and :func:`ordered_sum`, correctly
-    rounded on both (so ``d * d``: Python's float ``**`` calls libm ``pow``,
-    which need not be).  On floats a zero testing mass raises
-    ``ZeroDivisionError``."""
-    mass = [x * p for x, p in zip(w, pi)]
+    ``w_den``, the testing probability ``pi``, the positive rate ``rate`` and
+    the testing mass ``mass`` of each class (``w * pi`` for the plug-ins,
+    ``rho_s * pi_s`` in :func:`prevbias.model.exact_quantities`); an inactive
+    class carries ``(0, 1, 1, 0, 0)`` and adds exact zeros.  Entries are
+    floats for one table or numpy columns for a batch, with the same bits:
+    only ``+ - * /`` and :func:`ordered_sum`, correctly rounded on both (so
+    ``d * d``: Python's float ``**`` calls libm ``pow``, which need not be).
+    On floats a zero testing mass raises ``ZeroDivisionError``."""
     d = ordered_sum(mass)
     noise = [r * (1.0 - r) for r in rate]
     spread = [m * (1.0 - p) for m, p in zip(mass, pi)]
@@ -114,7 +115,8 @@ def _table_sums(outcome: TestingOutcome, w, pi) -> tuple:
     if any(on and p <= 0.0 for on, p in zip(active, pi)):
         raise InvalidSpec("pi_hat must be positive on positively weighted classes")
     rates = [row[1] / n if on else 0.0 for on, row, n in zip(active, outcome.counts, outcome.n_ts)]
-    columns = [(x, x, p, r) if on else (0.0, 1.0, 1.0, 0.0) for on, x, p, r in zip(active, w, pi, rates)]
+    classes = zip(active, w, pi, rates)
+    columns = [(x, x, p, r, x * p) if on else (0.0, 1.0, 1.0, 0.0, 0.0) for on, x, p, r in classes]
     try:
         sums = _class_sums(*zip(*columns))
     except ZeroDivisionError:
@@ -127,13 +129,15 @@ def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInt
 
     Endpoints are ``logit^{-1}(logit(est) -/+ lambda * sigma / (est(1-est)))``
     with ``lambda`` the two-sided normal critical value; they always lie
-    inside (0, 1).  Estimates on the boundary carry no interval.
+    inside (0, 1), and a zero ``sigma`` gives ``(est, est)`` at every ``alpha``.
+    Estimates on the boundary carry no interval.
     """
     if sigma < 0.0:
         raise InvalidSpec(f"sigma must be nonnegative, got {sigma!r}")
     if not 0.0 < est < 1.0:
         raise BoundaryEstimate(f"no logit interval for a boundary estimate {est!r}")
-    half_width = normal_quantile(alpha) * sigma / (est * (1.0 - est))
+    lam = normal_quantile(alpha)
+    half_width = lam * sigma / (est * (1.0 - est)) if sigma else 0.0
     lo, hi = _logit_endpoints(est, half_width, math.log, math.exp, _choose)
     return ConfidenceInterval(lo=lo, hi=hi)
 
@@ -161,22 +165,13 @@ def _logit_endpoints(est, half_width, log, exp, where) -> tuple:
 
 
 def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInterval:
-    """Symmetric normal interval for an information estimate (untransformed)."""
+    """Symmetric normal interval for an information estimate (untransformed);
+    ``(i_hat, i_hat)`` for a zero ``sigma_i`` at every ``alpha``."""
     if sigma_i < 0.0:
         raise InvalidSpec(f"sigma must be nonnegative, got {sigma_i!r}")
     lam = normal_quantile(alpha)
-    return ConfidenceInterval(lo=i_hat - lam * sigma_i, hi=i_hat + lam * sigma_i)
-
-
-def _bracket(v, p: float, p_bar0: float, conditional: bool) -> float:
-    v1, v2, v3, v4 = v[0], v[1], v[2], v[3]
-    top = v1 if conditional else v1 + v2
-    value = top / (p * p) + v3 / (p_bar0 * p_bar0) - 2.0 * v4 / (p * p_bar0)
-    if value < -_CLIP_TOL:
-        raise NegativeVarianceCombination(
-            f"variance combination {value!r} is negative beyond tolerance"
-        )
-    return max(value, 0.0)
+    width = lam * sigma_i if sigma_i else 0.0
+    return ConfidenceInterval(lo=i_hat - width, hi=i_hat + width)
 
 
 def sigma_it(v, p: float, p_bar0: float, n: int, conditional: bool = False) -> float:
@@ -185,24 +180,35 @@ def sigma_it(v, p: float, p_bar0: float, n: int, conditional: bool = False) -> f
     ``conditional=True`` drops the tested-class-proportion noise ``V2``
     (conditioning on the per-class tested counts), which never increases the
     result.  Combinations that come out negative within ``1e-9`` are clipped
-    to zero; anything more negative indicates inconsistent inputs and raises.
+    to zero; anything more negative indicates inconsistent inputs and raises,
+    as a NaN or infinite one does (a ``p`` or ``p_bar0`` whose square
+    underflows to 0 included).
     """
     if not 0.0 < p < 1.0 or not 0.0 < p_bar0 < 1.0:
         raise InvalidSpec(f"p and p_bar0 must lie in (0, 1), got {p!r}, {p_bar0!r}")
     if n < 1:
         raise InvalidSpec("population size must be at least 1")
-    return math.sqrt(_bracket(v, p, p_bar0, conditional) / n)
+    top = v[0] if conditional else v[0] + v[1]
+    try:
+        value = top / (p * p) + v[2] / (p_bar0 * p_bar0) - 2.0 * v[3] / (p * p_bar0)
+    except ZeroDivisionError:
+        value = math.inf
+    if not -_CLIP_TOL <= value < math.inf:
+        problem = "negative beyond tolerance" if value < 0.0 else f"not finite; {_EXTREME_CAUSE}"
+        raise NegativeVarianceCombination(f"variance combination {value!r} is {problem}")
+    return math.sqrt(max(value, 0.0) / n)
 
 
 def _root(variance: float, name: str) -> float:
-    if variance < 0.0:
-        raise NegativeVarianceCombination(f"{name} = {variance!r} is negative; {_NEGATIVE_CAUSE}")
+    if not 0.0 <= variance < math.inf:
+        problem = f"negative; {_NEGATIVE_CAUSE}" if variance < 0.0 else f"not finite; {_EXTREME_CAUSE}"
+        raise NegativeVarianceCombination(f"{name} = {variance!r} is {problem}")
     return math.sqrt(variance)
 
 
 def sigma_p(v, n: int) -> float:
     """Standard error of the biased estimate, ``sqrt((V1 + V2) / N)``;
-    :class:`NegativeVarianceCombination` when ``(V1 + V2) / N < 0``."""
+    :class:`NegativeVarianceCombination` unless it is finite and real."""
     if n < 1:
         raise InvalidSpec("population size must be at least 1")
     return _root((v[0] + v[1]) / n, "(V1 + V2) / N")
@@ -210,7 +216,7 @@ def sigma_p(v, n: int) -> float:
 
 def sigma_p0(v, n: int) -> float:
     """Standard error of the corrected estimate, ``sqrt(V3 / N)``;
-    :class:`NegativeVarianceCombination` when ``V3 / N < 0``."""
+    :class:`NegativeVarianceCombination` unless it is finite and real."""
     if n < 1:
         raise InvalidSpec("population size must be at least 1")
     return _root(v[2] / n, "V3 / N")

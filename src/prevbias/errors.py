@@ -48,4 +48,5 @@ class BoundaryEstimate(PrevBiasError):
 
 class NegativeVarianceCombination(PrevBiasError, ValueError):
     """A plug-in variance or variance combination is negative beyond numerical
-    tolerance, as it is when a symptom class was tested beyond N times its share."""
+    tolerance, as when a symptom class was tested beyond N times its share, or
+    not finite, as when a share or an estimate is too close to 0 for floats."""

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _NEGATIVE_CAUSE, _class_sums, _logit_endpoints, normal_quantile
+from .asymptotics import _EXTREME_CAUSE, _NEGATIVE_CAUSE, _class_sums, _logit_endpoints, normal_quantile
 from .errors import InvalidSpec, NegativeVarianceCombination
 from .model import (
     MAXENT,
@@ -171,9 +171,9 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     Bit for bit what :func:`build_bundle`, :func:`sigma_p0` and
     :func:`ci_logit_prevalence` give replicate by replicate (for populations
     below 2**53): they call the same :func:`_class_sums` and
-    :func:`_logit_endpoints`, here on columns, and a negative V3 in a kept
-    replicate raises the :class:`NegativeVarianceCombination` of
-    :func:`sigma_p0`.
+    :func:`_logit_endpoints`, here on columns, and a V3 that is negative, NaN
+    or infinite in a kept replicate raises the
+    :class:`NegativeVarianceCombination` of :func:`sigma_p0`.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_si = np.asarray(n_si, dtype=np.int64)
@@ -185,7 +185,7 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     positives = counts[:, :, 1]
     n_ts = counts.sum(axis=2)
     n_t = n_ts.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p_h = positives.sum(axis=1) / n_t
         if mechanism.kind == MCAR:
             rho = n_ts / n_t[:, None]  # the sample fractions, one row per replicate
@@ -201,23 +201,23 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         rates = np.where(active, positives / n_ts, 0.0)
         degenerate = ok & np.any(active & ((rates == 0.0) | (rates == 1.0)), axis=1)
         # as build_bundle, with rho as both weight and share; (S, R) columns
-        sums = _class_sums(
-            np.where(active, rho, 0.0).T, np.where(active, rho, 1.0).T,
-            np.where(active, pi_hat, 1.0).T, rates.T,
-        )
+        weight, pi_hat = np.where(active, rho, 0.0).T, np.where(active, pi_hat, 1.0).T
+        sums = _class_sums(weight, np.where(active, rho, 1.0).T, pi_hat, rates.T, weight * pi_hat)
         p0_h = p_h if mechanism.kind == MCAR else sums[0]
         v3 = sums[3] / n
-        negative = np.flatnonzero(ok & (v3 < 0.0))
-        if negative.size:
+        bad = np.flatnonzero(ok & ~((0.0 <= v3) & (v3 < np.inf)))
+        if bad.size:
+            first = bad[0]
+            kind, cause = ("negative", _NEGATIVE_CAUSE) if v3[first] < 0.0 else ("not finite", _EXTREME_CAUSE)
             raise NegativeVarianceCombination(
-                f"V3 / N is negative in {negative.size} of {len(counts)} replicates at N = {n} "
-                f"(first: replicate {negative[0]}); {_NEGATIVE_CAUSE}"
+                f"V3 / N is {kind} in {bad.size} of {len(counts)} replicates at N = {n} "
+                f"(first: replicate {first}); {cause}"
             )
         sigma = np.sqrt(v3)
 
         p_h, p0_h, sigma = (np.where(ok, x, np.nan) for x in (p_h, p0_h, sigma))
         interior = ok & (0.0 < p0_h) & (p0_h < 1.0)
-        half = normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h))
+        half = np.where(sigma == 0.0, 0.0, normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h)))
 
     lo, hi = np.full((2, len(counts)), np.nan)
     idx = np.flatnonzero(interior)

@@ -14,16 +14,17 @@ Everything in this module is a deterministic function of that layout:
   individuals under the biased testing probabilities,
 * ``active_info_testing``     -- ``log(p / p0)``, the information (in nats)
   that self-selection into testing carries about infection status,
-* ``exact_quantities``        -- the asymptotic variance components ``V1..V4``,
-  next to the three limits above that the normal approximations use,
+* ``exact_quantities``        -- the asymptotic variance components ``V1..V4``
+  from the plug-ins' class-sum kernel, next to the three limits above that
+  the normal approximations use,
 * ``corrected_prevalence_limit`` -- the large-N limit of the share-weighted
   corrected estimator, useful as a bias oracle when the weighting assumption
   is wrong (testing probabilities that depend on infection status).
 
 The number parser and :class:`Mechanism` compute on Python numbers, so the
 one-shot estimate path loads no numpy.  Only the study engine and the tests
-build a :class:`PopulationSpec`; it holds numpy arrays, and it and the closed
-forms import numpy when they run.
+build a :class:`PopulationSpec`; it holds numpy arrays, and it imports numpy
+when it runs.
 
 Randomness (one realised testing round) lives in :mod:`prevbias.sampler`;
 estimators computed from realised counts live in :mod:`prevbias.estimators`.
@@ -432,17 +433,19 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
     -------
     AsymptoticQuantities
         With ``p0``, ``p`` and ``p_bar0 = corrected_prevalence_limit(spec,
-        rho_bar)`` from their closed forms, and the variance components
+        rho_bar)`` from their closed forms, and the variance components of
+        one :func:`prevbias.asymptotics._class_sums` call (testing mass
+        ``rho_s pi_s``):
 
         ``v1 = sum_s rho_s pi_s (1-pi_s) p0s (1-p0s) / (sum_s rho_s pi_s)^2``,
         ``v2 = sum_s rho_s pi_s (1-pi_s) (p0s - p)^2 / (sum_s rho_s pi_s)^2``,
         ``v3 = sum_s rho_bar_s^2 rho_s^{-1} ((1-pi_s)/pi_s) p0s (1-p0s)``,
         ``v4 = sum_s rho_tilde_s rho_bar_s rho_s^{-1} ((1-pi_s)/pi_s) p0s (1-p0s)``,
 
-        where ``rho_tilde_s = rho_s pi_s / sum_s rho_s pi_s`` and
-        ``p0s = rho_s1 / rho_s``.
+        where ``rho_tilde_s = rho_s pi_s / sum_s rho_s pi_s``,
+        ``p0s = rho_s1 / rho_s`` and ``p = sum_s rho_tilde_s p0s``.
     """
-    import numpy as np
+    from .asymptotics import _class_sums  # it imports this module
 
     if not spec.is_mar:
         raise MechanismMismatch(
@@ -451,30 +454,15 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
         )
     rho_s = spec.rho_s
     pi_s = spec.pi_s
-    if np.any(rho_s <= 0.0):
+    if (rho_s <= 0.0).any():
         raise InvalidSpec("every symptom class must have positive share")
-    if np.any(pi_s <= 0.0):
+    if (pi_s <= 0.0).any():
         raise ZeroTestingMass("every symptom class must have positive testing probability")
 
     mech.check_against(spec)
     rb = rho_s if mech.kind == MCAR else mech.rho_s
     if rb is None:
         raise InvalidSpec("maxent limiting shares need explicit share bounds")
-    rb = np.asarray(rb)
-    p = testing_prevalence(spec)
-
-    p0s = spec.p0s
-    mass = rho_s * pi_s
-    d = float(mass.sum())
-    noise = p0s * (1.0 - p0s)
-    spread = mass * (1.0 - pi_s)
-    odds = (1.0 - pi_s) / pi_s
-    return AsymptoticQuantities(
-        p0=population_prevalence(spec),
-        p=p,
-        p_bar0=corrected_prevalence_limit(spec, rb),
-        v1=float((spread * noise).sum() / (d * d)),
-        v2=float((spread * ((p0s - p) * (p0s - p))).sum() / (d * d)),
-        v3=float((rb * rb / rho_s * odds * noise).sum()),
-        v4=float((mass / d * rb / rho_s * odds * noise).sum()),
-    )
+    _, *v = _class_sums(rb, rho_s, pi_s, spec.p0s, rho_s * pi_s)
+    limits = population_prevalence(spec), testing_prevalence(spec), corrected_prevalence_limit(spec, rb)
+    return AsymptoticQuantities(*limits, *map(float, v))

@@ -5,6 +5,7 @@ rational arithmetic (:mod:`fractions`), separately from the package's float
 implementations, so the unit tests compare two independent evaluation paths.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -366,3 +367,150 @@ def oracle_plugin_inputs(outcome, mechanism):
     pi_hat = np.full(outcome.s, np.nan)
     np.divide(n_ts, outcome.n * rho_hat, out=pi_hat, where=rho_hat > 0)
     return pi_hat, rho_hat
+
+
+# Seeded count tables for `prevbias estimate`, the inputs of the reply
+# invariants in tests/test_extreme_inputs.py.
+
+SUBNORMAL_SHARES = (5e-324, 1e-310)
+
+
+def _shares(rng, s_count, edge):
+    """Class shares summing to 1, with one of them 0 or subnormal by ``edge``."""
+    w = rng.dirichlet(np.ones(s_count))
+    if s_count > 1 and edge in ("zero", "subnormal"):
+        k = rng.integers(s_count)
+        w[k] = 0.0
+        w /= w.sum()
+        if edge == "subnormal":
+            w[k] = SUBNORMAL_SHARES[rng.integers(len(SUBNORMAL_SHARES))]
+    return w.tolist()
+
+
+def generated_count_table(rng) -> dict:
+    """One count-table document: S = 1..4 classes, N log-uniform from 10 to
+    1e6, alpha log-uniform from 1e-20 to 1, tested counts drawn from a random
+    population of N, and a mechanism of every form (mcar, mar, the closed-form
+    maxent, bounded maxent) with shares that may hold a zero or subnormal
+    share.  About a quarter of the tables have an empty class, a class
+    without positives or without negatives, or an empty sample."""
+    s_count = int(rng.integers(1, 5))
+    n = int(10.0 ** rng.uniform(1.0, 6.0))
+    sizes = rng.multinomial(n, rng.dirichlet(np.ones(2 * s_count))).reshape(s_count, 2)
+    counts = rng.binomial(sizes, rng.uniform(0.0, 1.0, size=(s_count, 2)))
+    edit = rng.integers(10)
+    if edit == 0:
+        counts[rng.integers(s_count)] = 0  # an empty class
+    elif edit == 1:
+        counts[rng.integers(s_count), rng.integers(2)] = 0  # no positives, or only positives
+    elif edit == 2 and rng.random() < 0.5:
+        counts[:] = 0  # an empty sample
+    edge = ("none", "none", "zero", "subnormal")[rng.integers(4)]
+    kind = rng.integers(4)
+    if kind == 0:
+        mechanism = {"type": "mcar"}
+    elif kind == 1:
+        mechanism = {"type": "mar", "rho_s": _shares(rng, s_count, edge)}
+    elif kind == 2:
+        mechanism = {"type": "maxent"}  # the closed form, which needs two classes
+    else:
+        centre = np.array(_shares(rng, s_count, edge))
+        spread = rng.uniform(0.0, 0.2, s_count) * (centre > 0.01)  # pinned shares stay pinned
+        lower, upper = np.maximum(centre - spread, 0.0), np.minimum(centre + spread, 1.0)
+        mechanism = {"type": "maxent", "lower": lower.tolist(), "upper": upper.tolist()}
+    alpha = 1.0 if rng.random() < 0.05 else float(10.0 ** rng.uniform(-20.0, 0.0))
+    return {"N": n, "counts": counts.tolist(), "mechanism": mechanism, "alpha": alpha}
+
+
+def generated_count_tables(count: int, seed: int) -> list[dict]:
+    rng = np.random.default_rng(seed)
+    return [generated_count_table(rng) for _ in range(count)]
+
+
+# The exact finite-N law of the study engine at one population: every count
+# table the product-binomial draw can give, weighted by its probability, run
+# through `replicate_columns` as the engine runs its draws.
+
+
+def _cell_pmfs(spec):
+    """Binomial pmfs of the cells in C order, in the floats `enumerate_outcomes` uses."""
+    pmfs = []
+    for size, p in zip(spec.n_si.ravel().tolist(), spec.pi.ravel().tolist()):
+        pmfs.append(np.array([math.comb(size, k) * p**k * (1 - p) ** (size - k) for k in range(size + 1)]))
+    return pmfs
+
+
+def exact_count_tables(spec, chunk=1 << 16):
+    """Every ``(R, S, 2)`` chunk of the ``prod(N_si + 1)`` count tables, in the
+    order of `enumerate_outcomes`, with each table's probability: the product
+    of its cells' binomial pmfs, multiplied in the same order."""
+    pmfs = _cell_pmfs(spec)
+    shape = tuple(len(pmf) for pmf in pmfs)
+    total = math.prod(shape)
+    for start in range(0, total, chunk):
+        cells = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        prob = np.ones(cells[0].size)
+        for pmf, k in zip(pmfs, cells):
+            prob = prob * pmf[k]
+        yield np.stack(cells, axis=1).reshape(-1, spec.s, 2), prob
+
+
+EXACT_LAW_SUMS = ("total", "kept", "p0_hat", "p0_hat_sq", "cover_p0", "cover_p_bar0", "cover_i_t")
+
+
+def exact_law(spec, mechanism, alpha):
+    """Exact probabilities of what the study engine reports at ``spec``, for a
+    mechanism with fixed shares (mar, bounded maxent).
+
+    Returns ``total`` (the probability of all tables, 1 up to rounding),
+    ``kept`` (P(kept)), the mean and variance of ``p0_hat`` given a kept
+    table, and, given a kept table, the probability that ``ci_p0`` covers
+    ``p0`` (``cover_p0``) and the corrected estimator's limit
+    `corrected_prevalence_limit` (``cover_p_bar0``), and that the information
+    interval ``I_T -/+ lambda sigma_IT`` covers ``log(p / p0)``
+    (``cover_i_t``).  Boundary estimates carry no interval and count as
+    misses.  ``sigma_IT`` is `sigma_it`'s expression on columns, with V1..V4
+    from `_class_sums` on the engine's columns."""
+    from prevbias import corrected_prevalence_limit, normal_quantile, population_prevalence
+    from prevbias import testing_prevalence as prevalence_among_tested
+    from prevbias.asymptotics import _CLIP_TOL, _class_sums
+    from prevbias.experiments import replicate_columns
+
+    n = spec.n
+    p0, p_bar0 = population_prevalence(spec), corrected_prevalence_limit(spec, mechanism.rho_s)
+    i_true = math.log(prevalence_among_tested(spec) / p0)
+    lam = normal_quantile(alpha)
+    w = np.asarray(mechanism.rho_s)
+    active = w > 0.0
+    sums = dict.fromkeys(EXACT_LAW_SUMS, 0.0)
+    for counts, prob in exact_count_tables(spec):
+        cols = replicate_columns(counts, spec.n_si, mechanism, p0, alpha)
+        ok, p_h, p0_h = cols.ok, cols.p_hat, cols.p0_hat
+        n_ts = counts.sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the engine's columns, as replicate_columns forms them for fixed shares
+            rates = np.where(active, counts[:, :, 1] / n_ts, 0.0).T
+            pi_hat = np.where(active, n_ts / (n * w), 1.0).T
+            weight, share = np.where(active, w, 0.0)[:, None], np.where(active, w, 1.0)[:, None]
+            _, v1, v2, v3, v4 = _class_sums(weight, share, pi_hat, rates, weight * pi_hat)
+            bracket = (v1 + v2) / (p_h * p_h) + v3 / (p0_h * p0_h) - 2.0 * v4 / (p_h * p0_h)
+            sigma_i = np.sqrt(np.maximum(bracket, 0.0) / n)
+            i_hat = np.log(p_h / p0_h)
+        has_ci_i_t = ok & (0.0 < p_h) & (p_h < 1.0) & (0.0 < p0_h) & (p0_h < 1.0) & (bracket >= -_CLIP_TOL)
+        covers_i_t = has_ci_i_t & (i_hat - lam * sigma_i <= i_true) & (i_true <= i_hat + lam * sigma_i)
+        sums["total"] += prob.sum()
+        sums["kept"] += prob[ok].sum()
+        sums["p0_hat"] += prob[ok] @ p0_h[ok]
+        sums["p0_hat_sq"] += prob[ok] @ (p0_h[ok] * p0_h[ok])
+        sums["cover_p0"] += prob[cols.hit].sum()
+        sums["cover_p_bar0"] += prob[(cols.lo <= p_bar0) & (p_bar0 <= cols.hi)].sum()
+        sums["cover_i_t"] += prob[covers_i_t].sum()
+    kept = sums["kept"]
+    mean = sums["p0_hat"] / kept
+    return {
+        "total": sums["total"],
+        "kept": kept,
+        "mean_p0_hat": mean,
+        "var_p0_hat": sums["p0_hat_sq"] / kept - mean * mean,
+        **{key: sums[key] / kept for key in ("cover_p0", "cover_p_bar0", "cover_i_t")},
+    }

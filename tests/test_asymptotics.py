@@ -1,6 +1,7 @@
 """Standard errors, intervals, and empirical checks of the normal limits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ class TestLogitInterval:
         ci = ci_logit_prevalence(0.37, 0.1, 1.0)
         assert (ci.lo, ci.hi) == (0.37, 0.37)
 
+    def test_zero_sigma_is_a_point_at_an_infinite_quantile(self):
+        # inf * 0 would be NaN; below alpha = 2^-53 a positive sigma gives
+        # the endpoints clamped inside (0, 1)
+        ci = ci_logit_prevalence(0.37, 0.0, 1e-20)
+        assert (ci.lo, ci.hi) == (0.37, 0.37)
+        ci = ci_logit_prevalence(0.37, 0.1, 1e-20)
+        assert (ci.lo, ci.hi) == (5e-324, 1.0 - 2.0**-53)
+
     def test_boundary_estimates_rejected(self):
         for est in (0.0, 1.0):
             with pytest.raises(BoundaryEstimate):
@@ -127,6 +136,12 @@ class TestInfoInterval:
     def test_alpha_one_point(self):
         ci = ci_active_info(0.5, 0.3, 1.0)
         assert (ci.lo, ci.hi) == (0.5, 0.5)
+
+    def test_zero_sigma_point_at_an_infinite_quantile(self):
+        ci = ci_active_info(0.5, 0.0, 1e-20)
+        assert (ci.lo, ci.hi) == (0.5, 0.5)
+        ci = ci_active_info(0.5, 0.3, 1e-20)
+        assert (ci.lo, ci.hi) == (-math.inf, math.inf)
 
 
 class TestSigmaIT:
@@ -187,6 +202,19 @@ class TestSigmaIT:
         with pytest.raises(NegativeVarianceCombination):
             sigma_it((0.0, 0.0, 0.0, 1.0), 0.5, 0.5, 100)
 
+    @pytest.mark.parametrize(
+        "v, p, p_bar0",
+        [
+            (MAR_V, MAR_P, 5e-324),  # p_bar0 * p_bar0 underflows to 0
+            (MAR_V, 1e-170, 0.2),  # so does p * p
+            (MAR_V, MAR_P, 1e-160),  # V3 / p_bar0**2 overflows to inf
+            ((math.nan,) * 4, MAR_P, 0.2),
+        ],
+    )
+    def test_a_bracket_that_is_not_finite_raises(self, v, p, p_bar0):
+        with pytest.raises(NegativeVarianceCombination, match="is not finite; a share or an estimate"):
+            sigma_it(v, p, p_bar0, 100)
+
     def test_domain_checks(self):
         with pytest.raises(InvalidSpec):
             sigma_it(MAR_V, 0.0, 0.2, 100)
@@ -206,6 +234,12 @@ class TestMarginalSigmas:
                 sigma(v, 10)
             assert isinstance(caught.value, ValueError)
         assert math.copysign(1.0, sigma_p0((0.0, 0.0, -0.0, 0.0), 10)) == -1.0  # sqrt(-0.0) is -0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_variance_that_is_not_finite_raises(self, value):
+        for sigma, name in ((sigma_p, "(V1 + V2) / N"), (sigma_p0, "V3 / N")):
+            with pytest.raises(NegativeVarianceCombination, match=rf"{re.escape(name)} = {value!r} is not finite"):
+                sigma((value,) * 4, 10)
 
     def test_class_tested_beyond_its_share_makes_the_plugin_variance_negative(self):
         # class 2 has 38 tested individuals, more than N * 0.2 = 20.4

@@ -112,7 +112,8 @@ def _columns(tables) -> tuple:
 
 def _assert_columns_equal_scalars(tables):
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = np.array(_class_sums(*_columns(tables)))
+        w, w_den, pi, rate = _columns(tables)
+        got = np.array(_class_sums(w, w_den, pi, rate, w * pi))
     want = np.array([_scalar(o, m) for o, m in tables]).T
     for name, g, e in zip(("p0", "v1", "v2", "v3", "v4"), got, want):
         np.testing.assert_array_equal(g.view(np.uint64), e.view(np.uint64), err_msg=name)
@@ -167,7 +168,7 @@ class TestDivisionByZeroEdges:
     )
     def test_floats_raise_where_numpy_columns_give_inf_or_nan(self, w, pi, rate):
         with pytest.raises(ZeroDivisionError):
-            _class_sums([w], [w or 1.0], [pi], [rate])
+            _class_sums([w], [w or 1.0], [pi], [rate], [w * pi])
         with np.errstate(divide="ignore", invalid="ignore"):
-            v1 = _class_sums(*(np.array([[x]]) for x in (w, w or 1.0, pi, rate)))[1]
+            v1 = _class_sums(*(np.array([[x]]) for x in (w, w or 1.0, pi, rate, w * pi)))[1]
         assert not np.isfinite(v1[0])
