@@ -22,14 +22,8 @@ from functools import lru_cache
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .errors import (
-    BoundaryEstimate,
-    EmptyStratum,
-    InvalidSpec,
-    NegativeVarianceCombination,
-)
+from .errors import BoundaryEstimate, InvalidSpec, NegativeVarianceCombination
 from .maxent import ordered_sum
-from .sampler import TestingOutcome
 
 _CLIP_TOL = 1e-9
 _NEGATIVE_CAUSE = "a symptom class was tested beyond N times its share"
@@ -81,8 +75,9 @@ class VarianceEstimates(NamedTuple):
 def _class_sums(w, w_den, pi, rate, mass) -> tuple:
     """``(p0, v1, v2, v3, v4)`` from the limiting weight ``w``, the share
     ``w_den``, the testing probability ``pi``, the positive rate ``rate`` and
-    the testing mass ``mass`` of each class (``w * pi`` for the plug-ins,
-    ``rho_s * pi_s`` in :func:`prevbias.model.exact_quantities`); an inactive
+    the testing mass ``mass`` of each class (``w * pi`` for the plug-ins of
+    :func:`_plugin_sums`, ``rho_s * pi_s`` in
+    :func:`prevbias.model.exact_quantities`); an inactive
     class carries ``(0, 1, 1, 0, 0)`` and adds exact zeros.  Entries are
     floats for one table or numpy columns for a batch, with the same bits:
     only ``+ - * /`` and :func:`ordered_sum`, correctly rounded on both (so
@@ -102,26 +97,26 @@ def _class_sums(w, w_den, pi, rate, mass) -> tuple:
     return p0, v1, v2, v3, v4
 
 
-def _table_sums(outcome: TestingOutcome, w, pi) -> tuple:
-    """:func:`_class_sums` of one table with ``w`` as weight and share, and
-    whether a weighted class has a positive rate of 0 or 1; zero-weight
-    classes are inactive.  A weighted class must hold tested individuals
-    (:class:`EmptyStratum`, checked before ``pi`` is read) and a positive
-    ``pi``, and the testing mass must be positive (:class:`InvalidSpec`)."""
-    active = [x > 0.0 for x in w]
-    missing = [s for s, (on, n) in enumerate(zip(active, outcome.n_ts)) if on and n == 0]
-    if missing:
-        raise EmptyStratum(missing)
-    if any(on and p <= 0.0 for on, p in zip(active, pi)):
-        raise InvalidSpec("pi_hat must be positive on positively weighted classes")
-    rates = [row[1] / n if on else 0.0 for on, row, n in zip(active, outcome.counts, outcome.n_ts)]
-    classes = zip(active, w, pi, rates)
-    columns = [(x, x, p, r, x * p) if on else (0.0, 1.0, 1.0, 0.0, 0.0) for on, x, p, r in classes]
-    try:
-        sums = _class_sums(*zip(*columns))
-    except ZeroDivisionError:
-        raise InvalidSpec("total estimated testing mass must be positive") from None
-    return sums, any(on and (r == 0.0 or r == 1.0) for on, r in zip(active, rates))
+def _plugin_sums(n, n_t, n_ts, positives, shares, mcar, where) -> tuple:
+    """``(p0, v1, v2, v3, v4, degenerate)``: :func:`_class_sums` at the
+    estimated testing probabilities, from the population size ``n``, the
+    tested total ``n_t`` and, per class, the tested count, the positives and
+    the share, which is weight and share alike.  The testing probability is
+    ``N_T / N`` under ``mcar``, else ``N_Ts / (N * share)``.  A class with a
+    zero share or no tested individual is inactive, ``(0, 1, 1, 0, 0)``;
+    ``degenerate`` flags an active class with a positive rate of 0 or 1.
+    Python numbers with ``where`` :func:`_choose`, or numpy columns with
+    ``np.where``, give the same bits; ``where`` picks each denominator
+    first, so floats never divide by zero."""
+    columns, degenerate = [], False
+    for tested, k, u in zip(n_ts, positives, shares):
+        on = (u > 0.0) & (tested > 0)
+        w, w_den = where(on, u, 0.0), where(on, u, 1.0)
+        pi = where(on, n_t / n if mcar else tested / (n * w_den), 1.0)
+        rate = where(on, k, 0) / where(on, tested, 1)
+        degenerate = degenerate | (on & ((rate == 0.0) | (rate == 1.0)))
+        columns.append((w, w_den, pi, rate, w * pi))
+    return (*_class_sums(*zip(*columns)), degenerate)
 
 
 def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInterval:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .asymptotics import ci_active_info, ci_logit_prevalence, sigma_it, sigma_p, sigma_p0
-from .config import load_scenario, parse_count_table, read_input
+from .config import decode_json, load_scenario, parse_count_table, read_input
 from .errors import BoundaryEstimate, InvalidSpec, PrevBiasError
 from .estimators import build_bundle
 
@@ -101,11 +101,7 @@ def cmd_estimate(args) -> int:
         raise InvalidSpec("cannot read stdin: it is closed")
     else:
         raw = sys.stdin.buffer.read()
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # bad JSON or encoding, or an integer beyond the 4300-digit limit
-        raise InvalidSpec(f"input is not valid JSON: {exc}") from exc
-    outcome, mechanism, alpha = parse_count_table(doc)
+    outcome, mechanism, alpha = parse_count_table(decode_json(raw, "input"))
     bundle = build_bundle(outcome, mechanism)
 
     warnings = list(bundle.warnings)

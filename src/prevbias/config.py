@@ -95,16 +95,23 @@ def read_input(path) -> bytes:
         raise InvalidSpec(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def decode_json(raw: bytes, what: str):
+    """The JSON document in ``raw``; bad JSON or encoding, an integer beyond
+    the 4300-digit limit and nesting beyond the recursion limit are invalid
+    input, named by ``what``."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidSpec(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(path, seed=None):
     """Read a scenario file; returns the parsed config and the raw bytes
     (hashed into the run manifest).  A ``seed`` replaces the file's own in
     the document before it is parsed; the file's seed must still be present
     and valid, and is checked after the rest of the config."""
     raw = read_input(path)
-    try:
-        doc = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the 4300-digit limit
-        raise InvalidSpec(f"config is not valid JSON: {exc}") from exc
+    doc = decode_json(raw, "config")
     if seed is None or not isinstance(doc, dict) or "seed" not in doc:
         return parse_scenario(doc), raw  # a missing seed fails here, override or not
     config = parse_scenario({**doc, "seed": seed})

@@ -13,8 +13,8 @@ are byte-stable for a given configuration.
 The engine works on one grid position at a time.  It draws every replicate's
 counts, then computes the estimates, standard errors and intervals of all
 replicates at once (:func:`replicate_columns`) on numpy columns, through the
-kernels ``_class_sums`` and ``_logit_endpoints`` that its reference, the
-one-shot :func:`prevbias.estimators.build_bundle` and
+plug-in stage ``_plugin_sums`` and the kernel ``_logit_endpoints`` that its
+reference, the one-shot :func:`prevbias.estimators.build_bundle` and
 :func:`prevbias.asymptotics.ci_logit_prevalence`, call on Python floats;
 only ``math.log`` and ``math.exp`` run entry by entry.
 
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _EXTREME_CAUSE, _NEGATIVE_CAUSE, _class_sums, _logit_endpoints, normal_quantile
+from .asymptotics import _EXTREME_CAUSE, _NEGATIVE_CAUSE, _logit_endpoints, _plugin_sums, normal_quantile
 from .errors import InvalidSpec, NegativeVarianceCombination
 from .model import (
     MAXENT,
@@ -166,11 +166,12 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     """Estimates, plug-in standard errors and logit intervals of every
     replicate in an ``(R, S, 2)`` counts array at once, weighted as
     :meth:`Mechanism.shares` weights: by each replicate's sample fractions
-    under mcar, else by the mechanism's fixed ``rho_s``.
+    under mcar, else by the mechanism's fixed ``rho_s``.  Those shares and
+    ``ok`` are formed here; the rest is the plug-in stage's.
 
     Bit for bit what :func:`build_bundle`, :func:`sigma_p0` and
     :func:`ci_logit_prevalence` give replicate by replicate (for populations
-    below 2**53): they call the same :func:`_class_sums` and
+    below 2**53): they call the same :func:`_plugin_sums` and
     :func:`_logit_endpoints`, here on columns, and a V3 that is negative, NaN
     or infinite in a kept replicate raises the
     :class:`NegativeVarianceCombination` of :func:`sigma_p0`.
@@ -185,26 +186,20 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     positives = counts[:, :, 1]
     n_ts = counts.sum(axis=2)
     n_t = n_ts.sum(axis=1)
+    mcar = mechanism.kind == MCAR
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p_h = positives.sum(axis=1) / n_t
-        if mechanism.kind == MCAR:
-            rho = n_ts / n_t[:, None]  # the sample fractions, one row per replicate
-            pi_hat = np.broadcast_to((n_t / n)[:, None], n_ts.shape)
+        if mcar:
+            shares = n_ts / n_t[:, None]  # the sample fractions, one row per replicate
+        elif mechanism.rho_s is None or len(mechanism.rho_s) != n_ts.shape[1]:
+            raise InvalidSpec("the study engine needs one fixed share per symptom class")
         else:
-            if mechanism.rho_s is None or len(mechanism.rho_s) != n_ts.shape[1]:
-                raise InvalidSpec("the study engine needs one fixed share per symptom class")
-            w = np.asarray(mechanism.rho_s)
-            rho = np.broadcast_to(w, n_ts.shape)
-            pi_hat = n_ts / (n * w)
-        active = rho > 0.0
-        ok = (n_t > 0) & ~np.any(active & (n_ts == 0), axis=1)
-        rates = np.where(active, positives / n_ts, 0.0)
-        degenerate = ok & np.any(active & ((rates == 0.0) | (rates == 1.0)), axis=1)
-        # as build_bundle, with rho as both weight and share; (S, R) columns
-        weight, pi_hat = np.where(active, rho, 0.0).T, np.where(active, pi_hat, 1.0).T
-        sums = _class_sums(weight, np.where(active, rho, 1.0).T, pi_hat, rates.T, weight * pi_hat)
-        p0_h = p_h if mechanism.kind == MCAR else sums[0]
-        v3 = sums[3] / n
+            shares = np.broadcast_to(mechanism.rho_s, n_ts.shape)
+        ok = (n_t > 0) & ~np.any((shares > 0.0) & (n_ts == 0), axis=1)
+        # as build_bundle, on (S, R) columns
+        p0, _, _, v3, _, degenerate = _plugin_sums(n, n_t, n_ts.T, positives.T, shares.T, mcar, np.where)
+        p0_h = p_h if mcar else p0
+        v3 = v3 / n
         bad = np.flatnonzero(ok & ~((0.0 <= v3) & (v3 < np.inf)))
         if bad.size:
             first = bad[0]
@@ -231,7 +226,7 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         hi=hi,
         hit=(lo <= p0_true) & (p0_true <= hi),
         boundary=ok & ~interior,
-        degenerate=degenerate,
+        degenerate=ok & degenerate,
         it_defined=ok & (p_h > 0.0) & (p0_h > 0.0),
     )
 

@@ -470,29 +470,26 @@ def exact_law(spec, mechanism, alpha):
     interval ``I_T -/+ lambda sigma_IT`` covers ``log(p / p0)``
     (``cover_i_t``).  Boundary estimates carry no interval and count as
     misses.  ``sigma_IT`` is `sigma_it`'s expression on columns, with V1..V4
-    from `_class_sums` on the engine's columns."""
+    from the engine's plug-in stage `_plugin_sums` on the same columns."""
     from prevbias import corrected_prevalence_limit, normal_quantile, population_prevalence
     from prevbias import testing_prevalence as prevalence_among_tested
-    from prevbias.asymptotics import _CLIP_TOL, _class_sums
+    from prevbias.asymptotics import _CLIP_TOL, _plugin_sums
     from prevbias.experiments import replicate_columns
 
     n = spec.n
     p0, p_bar0 = population_prevalence(spec), corrected_prevalence_limit(spec, mechanism.rho_s)
     i_true = math.log(prevalence_among_tested(spec) / p0)
     lam = normal_quantile(alpha)
-    w = np.asarray(mechanism.rho_s)
-    active = w > 0.0
+    shares = np.asarray(mechanism.rho_s)[:, None]
     sums = dict.fromkeys(EXACT_LAW_SUMS, 0.0)
     for counts, prob in exact_count_tables(spec):
         cols = replicate_columns(counts, spec.n_si, mechanism, p0, alpha)
         ok, p_h, p0_h = cols.ok, cols.p_hat, cols.p0_hat
-        n_ts = counts.sum(axis=2)
+        n_ts = counts.sum(axis=2).T
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the engine's columns, as replicate_columns forms them for fixed shares
-            rates = np.where(active, counts[:, :, 1] / n_ts, 0.0).T
-            pi_hat = np.where(active, n_ts / (n * w), 1.0).T
-            weight, share = np.where(active, w, 0.0)[:, None], np.where(active, w, 1.0)[:, None]
-            _, v1, v2, v3, v4 = _class_sums(weight, share, pi_hat, rates, weight * pi_hat)
+            _, v1, v2, v3, v4, _ = _plugin_sums(
+                n, n_ts.sum(axis=0), n_ts, counts[:, :, 1].T, shares, False, np.where
+            )
             bracket = (v1 + v2) / (p_h * p_h) + v3 / (p0_h * p0_h) - 2.0 * v4 / (p_h * p0_h)
             sigma_i = np.sqrt(np.maximum(bracket, 0.0) / n)
             i_hat = np.log(p_h / p0_h)

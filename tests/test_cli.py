@@ -148,6 +148,18 @@ class TestEstimate:
             preexec_fn=lambda: os.close(0),
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: cannot read stdin: it is closed\n")
+        # a document nested beyond the recursion limit does not decode either
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        for args, stdin, what in (
+            (["estimate"], nested.read_text(), "input"),
+            (["estimate", "--input", str(nested)], None, "input"),
+            (["run", "--config", str(nested), "--out-dir", str(tmp_path / "out")], None, "config"),
+        ):
+            proc = run_cli(args, stdin=stdin)
+            assert (proc.returncode, proc.stdout) == (2, ""), args
+            assert proc.stderr.startswith(f"error: {what} is not valid JSON: maximum recursion depth exceeded")
+            assert len(proc.stderr.splitlines()) == 1
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "counts.json"

@@ -148,6 +148,11 @@ class TestActiveInfoEstimates:
         with pytest.raises(UndefinedActiveInfo):
             active_info_estimates(0.2, 0.0)
 
+    def test_an_overflowing_ratio_is_undefined(self):
+        # a subnormal p0_hat: the ratio is inf, whose log would be inf
+        with pytest.raises(UndefinedActiveInfo, match="overflows"):
+            active_info_estimates(0.5, 5e-324)
+
     def test_decomposition_cancels_exactly_fuzzed(self):
         rng = np.random.default_rng(77)
         for _ in range(200):

@@ -13,7 +13,8 @@ that is absent or null:
 * absent keys: ``standard errors unavailable: ...``;
 * a null ``ci_p`` or ``ci_p0``: ``<key> undefined: estimate on the boundary``;
 * a null ``sigma_i_t`` and ``ci_i_t``: the boundary warning of ``ci_p`` or
-  ``ci_p0``, since the information needs both estimates inside (0, 1).
+  ``ci_p0``, since the information needs both estimates inside (0, 1);
+* a null ``i_t_hat`` or ``i_c_hat``: ``active information undefined: ...``.
 
 One rule stands without a warning.  Below alpha = 2^-53 the level
 ``1 - alpha/2`` rounds to 1, so the normal quantile is infinite
@@ -48,6 +49,7 @@ from conftest import generated_count_tables
 TABLES = 1000
 BOUNDARY = {key: f"{key} undefined: estimate on the boundary" for key in ("ci_p", "ci_p0")}
 UNAVAILABLE = "standard errors unavailable: "
+UNDEFINED_INFO = "active information undefined: "
 # two tables with a subnormal share: pi_hat = N_Ts / (N * 5e-324) overflows
 # to inf, so V1..V4 are NaN; the first also has p0_hat = 5e-324, whose
 # square underflows to 0
@@ -78,6 +80,8 @@ def _problems(doc, monkeypatch) -> list[str]:
     boundary = any(w in warnings for w in BOUNDARY.values())
     infinite_quantile = normal_quantile(reply["alpha"]) == math.inf
     problems = []
+    if None in (reply["i_t_hat"], reply["i_c_hat"]) and not any(w.startswith(UNDEFINED_INFO) for w in warnings):
+        problems.append("i_t_hat or i_c_hat null without a warning")
     for key, estimate in (("sigma_p", None), ("sigma_p0", None), ("sigma_i_t", None),
                           ("ci_p", "p_hat"), ("ci_p0", "p0_hat"), ("ci_i_t", "i_t_hat")):
         if key not in reply:
@@ -128,6 +132,14 @@ def test_subnormal_share_tables_warn_and_leave_the_standard_errors_out(doc, monk
         "a share or an estimate is too close to 0 for float arithmetic"
     ]
     assert not {"sigma_p", "sigma_p0", "sigma_i_t", "ci_p", "ci_p0", "ci_i_t"} & set(reply)
+
+
+def test_an_overflowing_information_ratio_is_undefined_with_a_warning(monkeypatch):
+    # p0_hat = 5e-324, so p_hat / p0_hat overflows to inf, whose log is inf
+    code, out, err = _estimate(SUBNORMAL_TABLES[0], monkeypatch)
+    reply = json.loads(out)
+    assert (code, err, reply["i_t_hat"], reply["i_c_hat"]) == (0, "", None, None)
+    assert reply["warnings"][0] == UNDEFINED_INFO + "p_hat / p0_hat = 0.411371237458194 / 5e-324 overflows"
 
 
 def _subnormal_scenario(rho, mechanism, n_grid):
