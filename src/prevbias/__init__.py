@@ -10,8 +10,8 @@ validates the normal limits empirically.
 
 Every name below is imported from its module on first use (PEP 562), so
 ``import prevbias`` loads nothing more.  The estimators compute on Python
-numbers and load no numpy; the study engine (``experiments``, ``rng``,
-``scenarios``) does.
+numbers and load no numpy; the study engine (``experiments``,
+``population``, ``rng``, ``scenarios``) does.
 """
 
 __version__ = "0.2.0"
@@ -32,10 +32,10 @@ _EXPORTS = {
     ),
     "experiments": ("ExperimentReport", "ReportRow", "ScenarioConfig", "run_experiment"),
     "maxent": ("SimplexSlab", "covid_shares", "mean_shares"),
-    "model": (
-        "AsymptoticQuantities", "Mechanism", "PopulationSpec", "active_info_testing",
-        "corrected_prevalence_limit", "exact_quantities", "population_prevalence",
-        "testing_prevalence",
+    "model": ("Mechanism",),
+    "population": (
+        "AsymptoticQuantities", "PopulationSpec", "active_info_testing", "corrected_prevalence_limit",
+        "exact_quantities", "population_prevalence", "testing_prevalence",
     ),
     "rng": ("RngStream",),
     "sampler": ("TestingOutcome", "draw_outcome", "enumerate_outcomes"),

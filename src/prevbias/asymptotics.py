@@ -17,10 +17,9 @@ plain symmetric normal interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from statistics import NormalDist
-from typing import NamedTuple
 
 from .errors import BoundaryEstimate, InvalidSpec, NegativeVarianceCombination
 from .maxent import ordered_sum
@@ -42,34 +41,41 @@ def normal_quantile(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0) if alpha > 2.0**-53 else math.inf
 
 
-@dataclass(frozen=True)
 class ConfidenceInterval:
-    lo: float
-    hi: float
+    """Interval endpoints ``lo <= hi``; equal to another interval with the
+    same endpoints."""
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InvalidSpec(f"interval endpoints out of order: ({self.lo!r}, {self.hi!r})")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        if lo > hi:
+            raise InvalidSpec(f"interval endpoints out of order: ({lo!r}, {hi!r})")
+        self.lo, self.hi = lo, hi
+
+    def __repr__(self):
+        return f"ConfidenceInterval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
 
 
-class VarianceEstimates(NamedTuple):
-    """Plug-in values of the variance components, with a degeneracy flag.
-    ``v[0]``..``v[3]`` are ``V1``..``V4``, as in the plain tuples that
-    :func:`sigma_p`, :func:`sigma_p0` and :func:`sigma_it` also take.
+VarianceEstimates = namedtuple("VarianceEstimates", "v1 v2 v3 v4 degenerate", defaults=(False,))
+VarianceEstimates.__doc__ = """Plug-in values of the variance components, with a degeneracy flag.
+``v[0]``..``v[3]`` are ``V1``..``V4``, as in the plain tuples that
+:func:`sigma_p`, :func:`sigma_p0` and :func:`sigma_it` also take.
 
-    ``degenerate`` is set when some class positive rate is exactly 0 or 1,
-    which zeroes its noise contribution; downstream interval coverage then
-    tends to be optimistic, so callers may want to count such cases.
-    """
-
-    v1: float
-    v2: float
-    v3: float
-    v4: float
-    degenerate: bool = False
+``degenerate`` is set when some class positive rate is exactly 0 or 1,
+which zeroes its noise contribution; downstream interval coverage then
+tends to be optimistic, so callers may want to count such cases.
+"""
 
 
 def _class_sums(w, w_den, pi, rate, mass) -> tuple:
@@ -77,7 +83,7 @@ def _class_sums(w, w_den, pi, rate, mass) -> tuple:
     ``w_den``, the testing probability ``pi``, the positive rate ``rate`` and
     the testing mass ``mass`` of each class (``w * pi`` for the plug-ins of
     :func:`_plugin_sums`, ``rho_s * pi_s`` in
-    :func:`prevbias.model.exact_quantities`); an inactive
+    :func:`prevbias.population.exact_quantities`); an inactive
     class carries ``(0, 1, 1, 0, 0)`` and adds exact zeros.  Entries are
     floats for one table or numpy columns for a batch, with the same bits:
     only ``+ - * /`` and :func:`ordered_sum`, correctly rounded on both (so

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .asymptotics import ci_active_info, ci_logit_prevalence, sigma_it, sigma_p, sigma_p0
@@ -42,8 +41,9 @@ RMSE_COLUMNS = ("n", "replicates", "kept", "discarded", "rmse_p0", "rmse_abs_sd"
 COVERAGE_COLUMNS = ("n", "replicates", "kept", "discarded", "boundary_misses", "coverage")
 
 
-def _write_table(path: Path, table, fmt: str) -> None:
-    """Write a table given as a mapping from column name to column values.
+def _write_table(path, table, fmt: str) -> None:
+    """Write a table given as a mapping from column name to column values to
+    the :class:`pathlib.Path` ``path``.
 
     Each column holds ints, floats or bools, one type per column, and the
     table has at least one row.  Both formats fill one row template with a
@@ -155,6 +155,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_run(args) -> int:
     import hashlib
+    from pathlib import Path
 
     from .experiments import run_experiment  # numpy, which `estimate` does without
 

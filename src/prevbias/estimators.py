@@ -15,7 +15,6 @@ on the estimate bit for bit."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .asymptotics import VarianceEstimates, _choose, _plugin_sums
 from .errors import EmptySample, EmptyStratum, UndefinedActiveInfo
@@ -44,7 +43,6 @@ def active_info_estimates(p_hat_value: float, p0_hat_value: float) -> tuple[floa
     return i_t, -i_t
 
 
-@dataclass(frozen=True, eq=False)
 class EstimateBundle:
     """All point estimates for one outcome under one mechanism.
 
@@ -54,15 +52,14 @@ class EstimateBundle:
     ``variances`` holds the plug-in V1..V4 at the estimated quantities.
     """
 
-    p_hat: float
-    p0_hat: float
-    rho_hat: tuple[float, ...]
-    p0s_hat: tuple[float, ...]
-    pi_hat: float
-    i_t_hat: float
-    i_c_hat: float
-    variances: VarianceEstimates
-    warnings: tuple[str, ...] = field(default=())
+    __slots__ = (
+        "p_hat", "p0_hat", "rho_hat", "p0s_hat", "pi_hat", "i_t_hat", "i_c_hat", "variances", "warnings",
+    )
+
+    def __init__(self, p_hat, p0_hat, rho_hat, p0s_hat, pi_hat, i_t_hat, i_c_hat, variances, warnings=()):
+        self.p_hat, self.p0_hat, self.rho_hat, self.p0s_hat = p_hat, p0_hat, rho_hat, p0s_hat
+        self.pi_hat, self.i_t_hat, self.i_c_hat = pi_hat, i_t_hat, i_c_hat
+        self.variances, self.warnings = variances, warnings
 
 
 def build_bundle(outcome: TestingOutcome, mechanism: Mechanism) -> EstimateBundle:

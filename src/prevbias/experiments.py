@@ -37,17 +37,8 @@ import numpy as np
 
 from .asymptotics import _EXTREME_CAUSE, _NEGATIVE_CAUSE, _logit_endpoints, _plugin_sums, normal_quantile
 from .errors import InvalidSpec, NegativeVarianceCombination
-from .model import (
-    MAXENT,
-    MCAR,
-    Mechanism,
-    PopulationSpec,
-    _cells,
-    _coerce_alpha,
-    _coerce_matrix,
-    _coerce_whole,
-    population_prevalence,
-)
+from .model import MAXENT, MCAR, Mechanism, _cells, _coerce_alpha, _coerce_matrix, _coerce_whole
+from .population import PopulationSpec, population_prevalence
 from .rng import RngStream
 
 

@@ -14,7 +14,6 @@ is at least as likely to be tested as an asymptomatic one, the data imply
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyRegion, InvalidSpec, TooLarge
@@ -40,18 +39,16 @@ def ordered_sum(values) -> float:
     return total
 
 
-@dataclass(frozen=True, eq=False)
 class SimplexSlab:
     """The set of share vectors with ``lower_s <= rho_s <= upper_s`` summing to
     1; the bounds are read into tuples of floats."""
 
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
+    def __init__(self, lower, upper):
         try:
-            lower = tuple(map(float, self.lower))
-            upper = tuple(map(float, self.upper))
+            lower = tuple(map(float, lower))
+            upper = tuple(map(float, upper))
         except (TypeError, ValueError):
             lower = upper = ()
         if len(lower) != len(upper) or not lower:
@@ -65,8 +62,7 @@ class SimplexSlab:
             raise EmptyRegion(
                 f"no share vector satisfies the bounds: sum(lower)={low_sum!r}, sum(upper)={high_sum!r}"
             )
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        self.lower, self.upper = lower, upper
 
     @property
     def s(self) -> int:

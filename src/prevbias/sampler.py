@@ -12,22 +12,20 @@ A :class:`TestingOutcome` holds Python ints, so a count table is estimated
 without numpy; a draw uses the numpy generator of the
 :class:`prevbias.rng.RngStream` it is given.  An outcome holds the counts
 and ``N`` alone, drawn or read from JSON alike; the stratum sizes stay with
-the :class:`prevbias.model.PopulationSpec` that a draw is made from.
+the :class:`prevbias.population.PopulationSpec` that a draw is made from.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidSpec, TooLarge
-from .model import PopulationSpec, _coerce_matrix, _coerce_whole
+from .model import _coerce_matrix, _coerce_whole
 
 ENUMERATION_LIMIT = 30
 
 
-@dataclass(frozen=True, eq=False)
 class TestingOutcome:
     """Realised tested counts ``N_Tsi`` for one testing round, as a tuple of
     ``(healthy, infected)`` int pairs, one per symptom class, and the
@@ -38,17 +36,15 @@ class TestingOutcome:
     counts are Python ``int / int``, correctly rounded at every size.
     """
 
-    counts: tuple[tuple[int, int], ...]
-    n: int
+    __slots__ = ("counts", "n")
 
-    def __post_init__(self):
-        counts = _coerce_matrix(self.counts, "counts", _coerce_whole)
-        n = _coerce_whole(self.n, "population size", low=1)
+    def __init__(self, counts, n):
+        counts = _coerce_matrix(counts, "counts", _coerce_whole)
+        n = _coerce_whole(n, "population size", low=1)
         n_t = sum(healthy + infected for healthy, infected in counts)
         if n_t > n:
             raise InvalidSpec(f"tested count {n_t} exceeds the population size {n}")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", n)
+        self.counts, self.n = counts, n
 
     @property
     def s(self) -> int:
@@ -75,15 +71,17 @@ class TestingOutcome:
         return tuple(row[1] / n if n else math.nan for row, n in zip(self.counts, self.n_ts))
 
 
-def draw_outcome(spec: PopulationSpec, rng) -> TestingOutcome:
-    """Simulate one testing round from the :class:`prevbias.rng.RngStream`
-    ``rng``: independent ``Bin(N_si, pi_si)`` per cell."""
+def draw_outcome(spec, rng) -> TestingOutcome:
+    """Simulate one testing round of the population ``spec`` from the
+    :class:`prevbias.rng.RngStream` ``rng``: independent ``Bin(N_si, pi_si)``
+    per cell."""
     counts = rng.generator().binomial(spec.n_si, spec.pi)
     return TestingOutcome(counts=counts, n=spec.n)
 
 
-def enumerate_outcomes(spec: PopulationSpec) -> list[tuple[TestingOutcome, float]]:
-    """The complete distribution of testing outcomes, with probabilities.
+def enumerate_outcomes(spec) -> list[tuple[TestingOutcome, float]]:
+    """The complete distribution of testing outcomes of the population
+    ``spec``, with probabilities.
 
     Enumerates the product of the per-cell binomial laws; probabilities sum
     to one up to float rounding.  Guarded to ``N <= 30`` because the support

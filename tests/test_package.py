@@ -2,7 +2,8 @@
 README quickstart.
 
 `import prevbias` and `prevbias estimate` compute on Python numbers and load
-no numpy; the study engine's names are imported on first use.
+no numpy, and `prevbias estimate` loads no dataclasses, typing or pathlib and
+none of the engine; the study engine's names are imported on first use.
 """
 
 import json
@@ -37,7 +38,7 @@ EXPORTS = [
     "estimators", "exact_quantities", "experiments",
     "mar_scenario", "maxent", "mcar_scenario", "mean_shares",
     "mnar_scenario", "model", "normal_quantile",
-    "p_hat", "population_prevalence", "rng", "run_experiment", "sampler",
+    "p_hat", "population", "population_prevalence", "rng", "run_experiment", "sampler",
     "scenarios", "sigma_it", "sigma_p", "sigma_p0", "testing_prevalence",
 ]
 
@@ -70,6 +71,20 @@ except SystemExit as exc:
 print(status, len(passes), sorted(m for m in sys.modules if m.split(".")[0] == "numpy"), file=sys.stderr)
 """
 
+# notes the modules loaded at start-up (`site` may load some), imports the
+# command line and estimates each table given as an argument in process, then
+# reports the modules added on stderr's last line, as JSON
+IMPORTS = """
+import sys
+start = set(sys.modules)
+import io, json
+from prevbias.cli import main
+for table in sys.argv[1:]:
+    sys.stdin = io.TextIOWrapper(io.BytesIO(table.encode()))
+    assert main(["estimate"]) == 0
+print(json.dumps(sorted(set(sys.modules) - start)), file=sys.stderr)
+"""
+
 
 def _run(code, *args, stdin=""):
     proc = subprocess.run([sys.executable, "-c", code, *args], input=stdin, capture_output=True, text=True)
@@ -79,6 +94,15 @@ def _run(code, *args, stdin=""):
 def test_import_loads_no_numpy():
     code = "import sys, prevbias; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     assert _run(code) == ("[]\n", [])
+
+
+def test_import_and_estimate_load_only_what_they_compute_with():
+    code = "import sys; start = set(sys.modules); import prevbias; print(sorted(set(sys.modules) - start))"
+    assert _run(code) == ("['prevbias']\n", [])
+    added = json.loads(_run(IMPORTS, *map(json.dumps, TABLES.values()))[1][0])
+    assert "prevbias.estimators" in added
+    unneeded = {"dataclasses", "inspect", "typing", "pathlib", "prevbias.population"}
+    assert [m for m in added if m in unneeded or m.split(".")[0] == "numpy"] == []
 
 
 def test_version_and_estimate_load_no_numpy():
