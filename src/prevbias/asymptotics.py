@@ -34,11 +34,12 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 @lru_cache(maxsize=64)
 def normal_quantile(alpha: float) -> float:
-    """Two-sided critical value: the ``1 - alpha/2`` standard normal quantile."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
-    # alpha <= 2^-53 rounds 1 - alpha/2 to 1, whose quantile is infinite
-    return NormalDist().inv_cdf(1.0 - alpha / 2.0) if alpha > 2.0**-53 else math.inf
+    """Two-sided critical value: the ``1 - alpha/2`` standard normal quantile,
+    as ``-inv_cdf(alpha/2)`` at and below alpha = 2^-53, where ``1 - alpha/2``
+    rounds to 1.  alpha = 5e-324 is refused: its half rounds to 0."""
+    if not 1e-323 <= alpha <= 1.0:
+        raise InvalidSpec(f"alpha must lie in [1e-323, 1], got {alpha!r}")
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0) if alpha > 2.0**-53 else -NormalDist().inv_cdf(alpha / 2.0)
 
 
 class ConfidenceInterval:
@@ -138,7 +139,7 @@ def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInt
     if not 0.0 < est < 1.0:
         raise BoundaryEstimate(f"no logit interval for a boundary estimate {est!r}")
     lam = normal_quantile(alpha)
-    half_width = lam * sigma / (est * (1.0 - est)) if sigma else 0.0
+    half_width = lam * sigma / (est * (1.0 - est))
     lo, hi = _logit_endpoints(est, half_width, math.log, math.exp, _choose)
     return ConfidenceInterval(lo=lo, hi=hi)
 
@@ -171,7 +172,7 @@ def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInte
     if sigma_i < 0.0:
         raise InvalidSpec(f"sigma must be nonnegative, got {sigma_i!r}")
     lam = normal_quantile(alpha)
-    width = lam * sigma_i if sigma_i else 0.0
+    width = lam * sigma_i
     return ConfidenceInterval(lo=i_hat - width, hi=i_hat + width)
 
 

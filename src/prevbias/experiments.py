@@ -37,7 +37,7 @@ import numpy as np
 
 from .asymptotics import _EXTREME_CAUSE, _NEGATIVE_CAUSE, _logit_endpoints, _plugin_sums, normal_quantile
 from .errors import InvalidSpec, NegativeVarianceCombination
-from .model import MAXENT, MCAR, Mechanism, _cells, _coerce_alpha, _coerce_matrix, _coerce_whole
+from .model import MCAR, Mechanism, _cells, _coerce_alpha, _coerce_matrix, _coerce_whole
 from .population import PopulationSpec, population_prevalence
 from .rng import RngStream
 
@@ -49,8 +49,8 @@ class ScenarioConfig:
     Numbers are read as :class:`PopulationSpec` reads them: ``rho`` becomes
     exact Fractions, ``pi`` a read-only float array, and ``n_grid``,
     ``replicates`` and ``seed`` whole numbers.  ``specs`` holds the
-    population at each grid size.  ``label`` names the report files, so it
-    must be a plain file-name stem.
+    population at each grid size, each checked against the mechanism.
+    ``label`` names the report files, so it must be a plain file-name stem.
     """
 
     rho: tuple[tuple[Fraction, Fraction], ...]
@@ -72,9 +72,8 @@ class ScenarioConfig:
         label = self.label
         if not isinstance(label, str) or label in ("", ".", "..") or any(c in label for c in "/\\\0"):
             raise InvalidSpec(f"label must be a plain file-name stem, got {label!r}")
-        if self.mechanism.kind == MAXENT and self.mechanism.slab is None:
-            raise InvalidSpec("scenario maxent mechanisms need explicit share bounds")
-        self.mechanism.check_against(specs[0])
+        for spec in specs:
+            self.mechanism.check_against(spec)
         for name, value in (
             ("rho", rho),
             ("pi", specs[0].pi),
@@ -157,8 +156,9 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     """Estimates, plug-in standard errors and logit intervals of every
     replicate in an ``(R, S, 2)`` counts array at once, weighted as
     :meth:`Mechanism.shares` weights: by each replicate's sample fractions
-    under mcar, else by the mechanism's fixed ``rho_s``.  Those shares and
-    ``ok`` are formed here; the rest is the plug-in stage's.
+    under mcar, else by the fixed ``rho_s`` of a mechanism that has passed
+    :meth:`Mechanism.check_against`.  Those shares and ``ok`` are formed
+    here; the rest is the plug-in stage's.
 
     Bit for bit what :func:`build_bundle`, :func:`sigma_p0` and
     :func:`ci_logit_prevalence` give replicate by replicate (for populations
@@ -180,12 +180,8 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     mcar = mechanism.kind == MCAR
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p_h = positives.sum(axis=1) / n_t
-        if mcar:
-            shares = n_ts / n_t[:, None]  # the sample fractions, one row per replicate
-        elif mechanism.rho_s is None or len(mechanism.rho_s) != n_ts.shape[1]:
-            raise InvalidSpec("the study engine needs one fixed share per symptom class")
-        else:
-            shares = np.broadcast_to(mechanism.rho_s, n_ts.shape)
+        # one row per replicate: its sample fractions under mcar, else the fixed shares
+        shares = n_ts / n_t[:, None] if mcar else np.broadcast_to(mechanism.rho_s, n_ts.shape)
         ok = (n_t > 0) & ~np.any((shares > 0.0) & (n_ts == 0), axis=1)
         # as build_bundle, on (S, R) columns
         p0, _, _, v3, _, degenerate = _plugin_sums(n, n_t, n_ts.T, positives.T, shares.T, mcar, np.where)
@@ -203,7 +199,7 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
 
         p_h, p0_h, sigma = (np.where(ok, x, np.nan) for x in (p_h, p0_h, sigma))
         interior = ok & (0.0 < p0_h) & (p0_h < 1.0)
-        half = np.where(sigma == 0.0, 0.0, normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h)))
+        half = normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h))
 
     lo, hi = np.full((2, len(counts)), np.nan)
     idx = np.flatnonzero(interior)

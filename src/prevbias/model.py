@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from numbers import Integral, Real
 
+from .asymptotics import normal_quantile
 from .errors import EmptySample, EmptyStratum, InvalidSpec
 from .maxent import SimplexSlab, covid_shares, mean_shares, ordered_sum
 
@@ -75,11 +76,11 @@ def _coerce_whole(value, where: str, low: int = 0, high: int = _INT64_MAX) -> in
 
 
 def _coerce_alpha(value) -> float:
-    """The interval level ``alpha`` as a float in ``(0, 1]``, read by
-    :func:`_coerce_cell`; the scenario config and the count table share it."""
+    """The interval level ``alpha`` as a float, read by :func:`_coerce_cell`
+    and held to the domain of :func:`prevbias.asymptotics.normal_quantile`;
+    the scenario config and the count table share it."""
     alpha = float(_coerce_cell(value, "alpha"))
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidSpec(f"alpha must lie in (0, 1], got {alpha!r}")
+    normal_quantile(alpha)
     return alpha
 
 
@@ -204,12 +205,21 @@ class Mechanism:
         return covid_shares(n, n_t, int(n_ts[1]))
 
     def check_against(self, spec) -> None:
-        """Validate mechanism metadata against the
-        :class:`prevbias.population.PopulationSpec` ``spec``."""
-        if self.kind == MAR:
-            if len(self.rho_s) != spec.s:
-                raise InvalidSpec(f"rho_s has {len(self.rho_s)} classes, population has {spec.s}")
-            if max(abs(a - b) for a, b in zip(self.rho_s, spec.rho_s.tolist())) > SHARE_SUM_TOL:
+        """Raise :class:`InvalidSpec` unless this mechanism can weight the
+        estimates of the population ``spec``: the one check of that fit.  Any
+        mechanism but mcar needs one fixed share per class, and on a class the
+        population can test, a positive share that keeps ``N_Ts / (N * share)``
+        finite.  A mar share lies within 1e-12 of the population's, relatively
+        on a class it can test.  Maxent bounds may miss the population's shares."""
+        if self.kind == MCAR:
+            return
+        if self.rho_s is None:
+            raise InvalidSpec("maxent mechanisms need explicit share bounds to weight a population")
+        if len(self.rho_s) != spec.s:
+            raise InvalidSpec(f"mechanism shares have {len(self.rho_s)} classes, population has {spec.s}")
+        reach = (spec.n_si * (spec.pi > 0.0)).sum(axis=1).tolist()  # the most each class can test
+        for s, (w, share, most) in enumerate(zip(self.rho_s, spec.rho_s.tolist(), reach)):
+            if self.kind == MAR and abs(w - share) > SHARE_SUM_TOL * (share if most else 1.0):
                 raise InvalidSpec("mar mechanism shares are inconsistent with the population shares")
-        elif self.slab is not None and self.slab.s != spec.s:
-            raise InvalidSpec(f"maxent bounds have {self.slab.s} classes, population has {spec.s}")
+            if most and not (w > 0.0 and math.isfinite(most / (spec.n * w))):
+                raise InvalidSpec(f"share {w!r} of tested class {s} makes N_Ts / (N * share) infinite at N = {spec.n}")

@@ -216,11 +216,12 @@ def corrected_prevalence_limit(spec: PopulationSpec, weights=None) -> float:
 def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantities:
     """Evaluate the closed-form asymptotic quantities for a population.
 
-    Requires per-symptom testing probabilities (``pi[s, i] = pi_s``).  The
-    limiting share weights ``rho_bar`` are the true class shares under mcar
-    and the mechanism's ``rho_s`` otherwise: the known shares under mar, the
-    exact mean shares of the bounds under maxent.  Maxent without explicit
-    bounds has no population-level limit and is rejected.
+    Requires per-symptom testing probabilities (``pi[s, i] = pi_s``) and a
+    mechanism that passes :meth:`Mechanism.check_against`.  The limiting
+    share weights ``rho_bar`` are the known shares under mar, the exact mean
+    shares of the bounds under maxent and the true class shares under mcar,
+    so there ``v3`` is the known-share variance that criterion c7 and the
+    quickstart use, not that of the mcar estimate.
 
     Returns
     -------
@@ -252,8 +253,6 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
 
     mech.check_against(spec)
     rb = rho_s if mech.kind == MCAR else mech.rho_s
-    if rb is None:
-        raise InvalidSpec("maxent limiting shares need explicit share bounds")
     _, *v = _class_sums(rb, rho_s, pi_s, spec.p0s, rho_s * pi_s)
     limits = population_prevalence(spec), testing_prevalence(spec), corrected_prevalence_limit(spec, rb)
     return AsymptoticQuantities(*limits, *map(float, v))

@@ -2,10 +2,11 @@
 
 import math
 import re
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from prevbias import (
     BoundaryEstimate,
@@ -39,12 +40,21 @@ class TestQuantile:
         assert normal_quantile(1.0) == pytest.approx(0.0, abs=1e-12)
         for alpha in (1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9):
             assert normal_quantile(alpha) == pytest.approx(stats.norm.ppf(1 - alpha / 2), abs=1e-14)
-        # the level 1 - alpha/2 rounds to 1 below alpha = 2^-53
-        assert normal_quantile(1e-20) == math.inf
+        # the level 1 - alpha/2 rounds to 1 below alpha = 2^-53: the lower tail
+        assert normal_quantile(1e-20) == pytest.approx(stats.norm.isf(5e-21), rel=1e-13)
 
     def test_alpha_domain(self):
         with pytest.raises(InvalidSpec):
             normal_quantile(0.0)
+
+    def test_tiny_alphas_take_the_lower_tail(self):
+        # finite down to 1e-323, the smallest alpha whose half is a positive float
+        for alpha in (2.0**-53, 1e-20, 1e-100, 1e-320, 1e-323):
+            assert normal_quantile(alpha) == pytest.approx(stats.norm.isf(alpha / 2), rel=1e-13)
+        # above 2^-53 the quantile of the level keeps its bits
+        assert normal_quantile(2.0**-52) == NormalDist().inv_cdf(1.0 - 2.0**-53)
+        with pytest.raises(InvalidSpec, match=r"alpha must lie in \[1e-323, 1\]"):
+            normal_quantile(5e-324)
 
 
 class TestPluginVariances:
@@ -101,12 +111,13 @@ class TestLogitInterval:
         assert (ci.lo, ci.hi) == (0.37, 0.37)
 
     def test_zero_sigma_is_a_point_at_an_infinite_quantile(self):
-        # inf * 0 would be NaN; below alpha = 2^-53 a positive sigma gives
-        # the endpoints clamped inside (0, 1)
+        # below alpha = 2^-53 the quantile is finite, taken from the lower tail
         ci = ci_logit_prevalence(0.37, 0.0, 1e-20)
         assert (ci.lo, ci.hi) == (0.37, 0.37)
         ci = ci_logit_prevalence(0.37, 0.1, 1e-20)
-        assert (ci.lo, ci.hi) == (5e-324, 1.0 - 2.0**-53)
+        half = stats.norm.isf(5e-21) * 0.1 / (0.37 * 0.63)
+        expected = special.expit(special.logit(0.37) + np.array([-half, half]))
+        assert [ci.lo, ci.hi] == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_estimates_rejected(self):
         for est in (0.0, 1.0):
@@ -141,7 +152,8 @@ class TestInfoInterval:
         ci = ci_active_info(0.5, 0.0, 1e-20)
         assert (ci.lo, ci.hi) == (0.5, 0.5)
         ci = ci_active_info(0.5, 0.3, 1e-20)
-        assert (ci.lo, ci.hi) == (-math.inf, math.inf)
+        width = stats.norm.isf(5e-21) * 0.3
+        assert [ci.lo, ci.hi] == pytest.approx([0.5 - width, 0.5 + width], rel=1e-13)
 
 
 class TestSigmaIT:

@@ -3,6 +3,7 @@
 import math
 from dataclasses import astuple
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from prevbias import (
     ScenarioConfig,
     run_experiment,
 )
+from prevbias.config import load_scenario
 from prevbias.scenarios import (
     coverage_scenario,
     mar_scenario,
@@ -22,6 +24,8 @@ from prevbias.scenarios import (
 )
 
 from conftest import MAR_ORACLE, PI_MCAR, oracle_mcar_mse
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestScenarioConfig:
@@ -51,6 +55,20 @@ class TestScenarioConfig:
                 seed=1,
                 label="bad",
             )
+
+    @pytest.mark.parametrize("name", ["mcar", "mar", "mnar", "coverage1", "coverage2"])
+    def test_bundled_configs_and_presets_fit_their_mechanism_at_every_grid_size(self, name, monkeypatch):
+        checked, check = [], Mechanism.check_against
+
+        def recording_check(mechanism, spec):
+            checked.append(spec.n)
+            return check(mechanism, spec)
+
+        monkeypatch.setattr(Mechanism, "check_against", recording_check)
+        preset = {"mcar": mcar_scenario, "mar": mar_scenario, "mnar": mnar_scenario}.get(name)
+        preset = preset() if preset else coverage_scenario(int(name[-1]))
+        bundled = load_scenario(CONFIG_DIR / f"{name}.json")[0]
+        assert checked == [*bundled.n_grid, *preset.n_grid] and len(bundled.n_grid) > 1
 
     def test_spec_materialisation(self):
         cfg = mar_scenario(n_grid=(1000, 10_000), replicates=5)

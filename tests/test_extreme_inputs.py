@@ -16,10 +16,9 @@ that is absent or null:
   ``ci_p0``, since the information needs both estimates inside (0, 1);
 * a null ``i_t_hat`` or ``i_c_hat``: ``active information undefined: ...``.
 
-One rule stands without a warning.  Below alpha = 2^-53 the level
-``1 - alpha/2`` rounds to 1, so the normal quantile is infinite
-(`normal_quantile`): a positive ``sigma_i_t`` then gives the whole line,
-printed ``[null, null]``, as the golden reply ``mar_alpha_1e-20`` pins.
+Below alpha = 2^-53 the level ``1 - alpha/2`` rounds to 1, and
+`normal_quantile` takes the quantile from the lower tail, so those intervals
+are finite too, as the golden reply ``mar_alpha_1e-20`` pins.
 """
 
 import contextlib
@@ -37,7 +36,6 @@ from prevbias import (
     NegativeVarianceCombination,
     ScenarioConfig,
     build_bundle,
-    normal_quantile,
     run_experiment,
     sigma_p0,
 )
@@ -78,7 +76,6 @@ def _problems(doc, monkeypatch) -> list[str]:
     warnings = reply["warnings"]
     unavailable = any(w.startswith(UNAVAILABLE) for w in warnings)
     boundary = any(w in warnings for w in BOUNDARY.values())
-    infinite_quantile = normal_quantile(reply["alpha"]) == math.inf
     problems = []
     if None in (reply["i_t_hat"], reply["i_c_hat"]) and not any(w.startswith(UNDEFINED_INFO) for w in warnings):
         problems.append("i_t_hat or i_c_hat null without a warning")
@@ -95,9 +92,6 @@ def _problems(doc, monkeypatch) -> list[str]:
         elif estimate is None:
             if not (isinstance(value, float) and math.isfinite(value) and value >= 0.0):
                 problems.append(f"{key} = {value!r}")
-        elif key == "ci_i_t" and infinite_quantile and reply["sigma_i_t"]:
-            if value != [None, None]:
-                problems.append(f"{key} = {value!r} at an infinite quantile")
         elif None in value or not value[0] <= reply[estimate] <= value[1]:
             problems.append(f"{key} = {value!r} around {estimate} = {reply[estimate]!r}")
     return problems
@@ -164,17 +158,65 @@ def test_a_mar_share_of_5e_324_weights_only_replicates_that_the_engine_discards(
 @pytest.mark.parametrize(
     "mechanism, n",
     [
-        (Mechanism.mar([5e-324, 1.0]), 10**13),  # 5e-324 lies within 1e-12 of the share 1/N
+        (Mechanism.mar([5e-324, 1.0]), 10**13),  # within 1e-12 of the share 1/N, but not relatively
         (Mechanism.maxent([5e-324, 0.0], [5e-324, 1.0]), 100),  # bounds are not held to the population
     ],
     ids=["mar_beyond_1e12", "bounded_maxent"],
 )
 def test_a_subnormal_share_of_a_tested_class_raises_in_the_engine_as_in_sigma_p0(mechanism, n):
     # class 0 holds one individual, tested with probability 1, and its share
-    # is 5e-324: pi_hat overflows to inf and V3 is NaN in every replicate
+    # is 5e-324: pi_hat would overflow to inf and V3 be NaN in every
+    # replicate, so the config is refused before the engine runs
     rho = [[Fraction(1, n), 0], [Fraction(1, 2) - Fraction(1, n), Fraction(1, 2)]]
-    with pytest.raises(NegativeVarianceCombination, match=r"V3 / N is not finite in 50 of 50 replicates"):
-        run_experiment(_subnormal_scenario(rho, mechanism, (n,)))
+    with pytest.raises(InvalidSpec):
+        _subnormal_scenario(rho, mechanism, (n,))
     outcome = Outcome(counts=[[1, 0], [20, 30]], n=n)
     with pytest.raises(NegativeVarianceCombination, match=r"V3 / N = nan is not finite"):
         sigma_p0(build_bundle(outcome, mechanism).variances, n)
+
+
+@pytest.mark.parametrize(
+    "mechanism, n",
+    [
+        ({"type": "mar", "rho_s": [5e-324, 1.0]}, 10**13),
+        ({"type": "maxent", "lower": [5e-324, 0.0], "upper": [5e-324, 1.0]}, 100),
+    ],
+    ids=["mar_beyond_1e12", "bounded_maxent"],
+)
+def test_a_subnormal_share_of_a_tested_class_exits_2_from_run_and_writes_nothing(mechanism, n, tmp_path, capsys):
+    # the configs above as a user writes them: one error line, no out-dir
+    rho = [[f"1/{n}", "0"], [str(Fraction(1, 2) - Fraction(1, n)), "1/2"]]
+    doc = {
+        "label": "subnormal", "seed": 3, "replicates": 50, "alpha": 0.05, "n_grid": [n],
+        "population": {"rho": rho, "pi": [[1.0, 1.0], [0.5, 0.5]]}, "mechanism": mechanism,
+    }
+    config = tmp_path / "subnormal.json"
+    config.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [config]
+
+
+ALPHA_TABLE = {"N": 10_000, "counts": [[300, 30], [40, 60]], "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]}}
+
+
+def test_tiny_alphas_give_finite_information_intervals_that_widen(monkeypatch):
+    widths = []
+    for exponent in range(15, 321, 5):
+        doc = dict(ALPHA_TABLE, alpha=10.0**-exponent)
+        assert _problems(doc, monkeypatch) == []
+        code, out, err = _estimate(doc, monkeypatch)
+        reply = json.loads(out)
+        assert (code, err, reply["warnings"]) == (0, "", [])
+        lo, hi = reply["ci_i_t"]
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < reply["i_t_hat"] < hi
+        widths.append(hi - lo)
+    assert widths == sorted(widths) and len(set(widths)) == len(widths)
+
+
+def test_an_alpha_whose_half_is_0_exits_2(monkeypatch):
+    code, out, err = _estimate(dict(ALPHA_TABLE, alpha=5e-324), monkeypatch)
+    assert (code, out, err) == (2, "", "error: alpha must lie in [1e-323, 1], got 5e-324\n")
+    assert _estimate(dict(ALPHA_TABLE, alpha=1e-323), monkeypatch)[0] == 0

@@ -1,6 +1,7 @@
 """Population-level closed forms against exact rational oracles."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -77,6 +78,38 @@ class TestMechanism:
         Mechanism.mar(("0.8", "0.2")).check_against(spec_mar)
         with pytest.raises(InvalidSpec):
             Mechanism.mar(("0.7", "0.3")).check_against(spec_mar)
+
+    def test_one_check_decides_whether_a_mechanism_fits(self, spec_mar):
+        # spec_mar: N = 1000, shares 0.8 / 0.2, both classes tested
+        fits = [
+            Mechanism.mcar(),
+            Mechanism.mar(("0.8", "0.2")),
+            Mechanism.maxent([0.5, 0.4], [0.6, 0.5]),  # misspecified: the bounds miss 0.8 / 0.2
+        ]
+        for mechanism in fits:
+            mechanism.check_against(spec_mar)
+        refused = [
+            (Mechanism.maxent(), "need explicit share bounds"),
+            (Mechanism.mar(("0.6", "0.2", "0.2")), "3 classes, population has 2"),
+            (Mechanism.maxent([0.1] * 3, [0.5] * 3), "3 classes, population has 2"),
+            (Mechanism.maxent([0.0, 0.0], [0.0, 1.0]), "share 0.0 of tested class 0"),
+            (Mechanism.maxent([0.0, 5e-324], [1.0, 5e-324]), "share 5e-324 of tested class 1"),
+        ]
+        for mechanism, message in refused:
+            with pytest.raises(InvalidSpec, match=re.escape(message)):
+                mechanism.check_against(spec_mar)
+
+    def test_mar_shares_are_held_relatively_on_tested_classes_only(self):
+        n = 10**13
+        rho = [[F(1, n), 0], [F(1, 2) - F(1, n), F(1, 2)]]
+        # 5e-324 lies within 1e-12 of the share 1/N of class 0: refused when
+        # the class can be tested, accepted when nobody in it is
+        mechanism = Mechanism.mar([5e-324, 1.0])
+        with pytest.raises(InvalidSpec, match="inconsistent"):
+            mechanism.check_against(PopulationSpec(n, rho, PI_MAR))
+        mechanism.check_against(PopulationSpec(n, rho, [[0.0, 0.0], [0.9, 0.9]]))
+        # a share within 1e-12 relative of 1/N passes
+        Mechanism.mar([1e-13 * (1 + 1e-13), 1.0 - 1e-13]).check_against(PopulationSpec(n, rho, PI_MAR))
 
     def test_mar_shares_must_be_a_distribution(self):
         with pytest.raises(InvalidSpec):
