@@ -18,12 +18,9 @@ __version__ = "0.2.0"
 
 # module -> the names it exports
 _EXPORTS = {
-    "asymptotics": (
-        "ConfidenceInterval", "VarianceEstimates", "ci_active_info", "ci_logit_prevalence",
-        "normal_quantile", "sigma_it", "sigma_p", "sigma_p0",
-    ),
+    "asymptotics": ("VarianceEstimates", "normal_quantile", "sigma_it"),
     "errors": (
-        "BoundaryEstimate", "EmptyRegion", "EmptySample", "EmptyStratum", "InvalidSpec",
+        "EmptyRegion", "EmptySample", "EmptyStratum", "InvalidSpec",
         "MechanismMismatch", "NegativeVarianceCombination", "PrevBiasError", "TooLarge",
         "UndefinedActiveInfo", "ZeroTestingMass",
     ),

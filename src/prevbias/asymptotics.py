@@ -4,14 +4,18 @@ At population size ``N`` the estimator errors scale like ``N^{-1/2}`` with
 variances built from the components ``V1..V4``:
 
 * biased estimate:     ``sigma_p^2   = (V1 + V2) / N``
-* corrected estimate:  ``sigma_p0^2  = V3 / N``
+* corrected estimate:  ``sigma_p0^2  = V3 / N``, or ``sigma_p^2`` under mcar,
+  where the corrected estimate is the biased one
 * information:         ``sigma_IT^2  = ((V1 + V2)/p^2 + V3/pbar0^2
-  - 2 V4/(p*pbar0)) / N``; conditioning on the per-class tested counts drops
-  the ``V2`` term and therefore always shortens the interval.
+  - 2 V4/(p*pbar0)) / N``, or 0 under mcar; with ``V2 = 0`` it is the
+  standard error given the per-class tested counts, which is never larger.
 
-Prevalence intervals are built on the log-odds scale and transformed back,
-which keeps their endpoints inside (0, 1).  The information interval is a
-plain symmetric normal interval.
+Two kernels turn them into intervals, :func:`_prevalence_interval` and
+:func:`_information_interval`.  Like the plug-in stage :func:`_plugin_sums`,
+each runs on Python floats for ``prevbias estimate`` and on numpy columns for
+the study engine with the same bits.  Prevalence intervals are built on the
+log-odds scale and transformed back, which keeps their endpoints inside
+(0, 1).  The information interval is a plain symmetric normal interval.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import namedtuple
 from functools import lru_cache
 from statistics import NormalDist
 
-from .errors import BoundaryEstimate, InvalidSpec, NegativeVarianceCombination
+from .errors import InvalidSpec, NegativeVarianceCombination
 from .maxent import ordered_sum
 
 _CLIP_TOL = 1e-9
@@ -35,43 +39,18 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 @lru_cache(maxsize=64)
 def normal_quantile(alpha: float) -> float:
     """Two-sided critical value: the ``1 - alpha/2`` standard normal quantile,
-    as ``-inv_cdf(alpha/2)`` at and below alpha = 2^-53, where ``1 - alpha/2``
-    rounds to 1.  alpha = 5e-324 is refused: its half rounds to 0."""
+    as ``-inv_cdf(alpha/2)`` below alpha = 0.01, where rounding the level
+    ``1 - alpha/2`` would cost digits (all of them from alpha = 2^-53 down).
+    alpha = 5e-324 is refused: its half rounds to 0."""
     if not 1e-323 <= alpha <= 1.0:
         raise InvalidSpec(f"alpha must lie in [1e-323, 1], got {alpha!r}")
-    return NormalDist().inv_cdf(1.0 - alpha / 2.0) if alpha > 2.0**-53 else -NormalDist().inv_cdf(alpha / 2.0)
-
-
-class ConfidenceInterval:
-    """Interval endpoints ``lo <= hi``; equal to another interval with the
-    same endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: float, hi: float):
-        if lo > hi:
-            raise InvalidSpec(f"interval endpoints out of order: ({lo!r}, {hi!r})")
-        self.lo, self.hi = lo, hi
-
-    def __repr__(self):
-        return f"ConfidenceInterval(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0) if alpha >= 0.01 else -NormalDist().inv_cdf(alpha / 2.0)
 
 
 VarianceEstimates = namedtuple("VarianceEstimates", "v1 v2 v3 v4 degenerate", defaults=(False,))
 VarianceEstimates.__doc__ = """Plug-in values of the variance components, with a degeneracy flag.
-``v[0]``..``v[3]`` are ``V1``..``V4``, as in the plain tuples that
-:func:`sigma_p`, :func:`sigma_p0` and :func:`sigma_it` also take.
+``v[0]``..``v[3]`` are ``V1``..``V4``, as in the plain tuples that the
+interval kernels and :func:`sigma_it` also take.
 
 ``degenerate`` is set when some class positive rate is exactly 0 or 1,
 which zeroes its noise contribution; downstream interval coverage then
@@ -126,24 +105,6 @@ def _plugin_sums(n, n_t, n_ts, positives, shares, mcar, where) -> tuple:
     return (*_class_sums(*zip(*columns)), degenerate)
 
 
-def ci_logit_prevalence(est: float, sigma: float, alpha: float) -> ConfidenceInterval:
-    """Back-transformed log-odds interval for a prevalence estimate.
-
-    Endpoints are ``logit^{-1}(logit(est) -/+ lambda * sigma / (est(1-est)))``
-    with ``lambda`` the two-sided normal critical value; they always lie
-    inside (0, 1), and a zero ``sigma`` gives ``(est, est)`` at every ``alpha``.
-    Estimates on the boundary carry no interval.
-    """
-    if sigma < 0.0:
-        raise InvalidSpec(f"sigma must be nonnegative, got {sigma!r}")
-    if not 0.0 < est < 1.0:
-        raise BoundaryEstimate(f"no logit interval for a boundary estimate {est!r}")
-    lam = normal_quantile(alpha)
-    half_width = lam * sigma / (est * (1.0 - est))
-    lo, hi = _logit_endpoints(est, half_width, math.log, math.exp, _choose)
-    return ConfidenceInterval(lo=lo, hi=hi)
-
-
 def _choose(condition: bool, a: float, b: float) -> float:
     """``np.where`` on one float."""
     return a if condition else b
@@ -166,59 +127,85 @@ def _logit_endpoints(est, half_width, log, exp, where) -> tuple:
     return where(zero | (est < lo), est, lo), where(zero | (est > hi), est, hi)
 
 
-def ci_active_info(i_hat: float, sigma_i: float, alpha: float) -> ConfidenceInterval:
-    """Symmetric normal interval for an information estimate (untransformed);
-    ``(i_hat, i_hat)`` for a zero ``sigma_i`` at every ``alpha``."""
-    if sigma_i < 0.0:
-        raise InvalidSpec(f"sigma must be nonnegative, got {sigma_i!r}")
-    lam = normal_quantile(alpha)
-    width = lam * sigma_i
-    return ConfidenceInterval(lo=i_hat - width, hi=i_hat + width)
 
 
-def sigma_it(v, p: float, p_bar0: float, n: int, conditional: bool = False) -> float:
-    """Standard error of the information estimate at population size ``n``.
-
-    ``conditional=True`` drops the tested-class-proportion noise ``V2``
-    (conditioning on the per-class tested counts), which never increases the
-    result.  Combinations that come out negative within ``1e-9`` are clipped
-    to zero; anything more negative indicates inconsistent inputs and raises,
-    as a NaN or infinite one does (a ``p`` or ``p_bar0`` whose square
-    underflows to 0 included).
-    """
-    if not 0.0 < p < 1.0 or not 0.0 < p_bar0 < 1.0:
-        raise InvalidSpec(f"p and p_bar0 must lie in (0, 1), got {p!r}, {p_bar0!r}")
-    if n < 1:
-        raise InvalidSpec("population size must be at least 1")
-    top = v[0] if conditional else v[0] + v[1]
-    try:
-        value = top / (p * p) + v[2] / (p_bar0 * p_bar0) - 2.0 * v[3] / (p * p_bar0)
-    except ZeroDivisionError:
-        value = math.inf
-    if not -_CLIP_TOL <= value < math.inf:
-        problem = "negative beyond tolerance" if value < 0.0 else f"not finite; {_EXTREME_CAUSE}"
-        raise NegativeVarianceCombination(f"variance combination {value!r} is {problem}")
-    return math.sqrt(max(value, 0.0) / n)
+def _refuse(bad, value, n, name, sep, negative) -> None:
+    """Raise :class:`NegativeVarianceCombination` if ``bad`` flags the
+    variance ``name``, ``value``: negative (``negative`` holds the kind and
+    its cause, or None), NaN or infinite.  On one float the message reads
+    ``{name}{sep}{value!r} is ...``; on a column it counts the flagged
+    replicates and names the first."""
+    if isinstance(bad, bool):
+        if not bad:
+            return
+        head, at, tail = f"{name}{sep}{value!r}", value, ""
+    else:
+        if not bad.any():
+            return
+        first = int(bad.argmax())
+        head, at = name, value[first]
+        tail = f" in {int(bad.sum())} of {bad.size} replicates at N = {n} (first: replicate {first})"
+    kind, cause = negative if at < 0.0 else ("not finite", _EXTREME_CAUSE)
+    raise NegativeVarianceCombination(f"{head} is {kind}{tail}" + (f"; {cause}" if cause else ""))
 
 
-def _root(variance: float, name: str) -> float:
-    if not 0.0 <= variance < math.inf:
-        problem = f"negative; {_NEGATIVE_CAUSE}" if variance < 0.0 else f"not finite; {_EXTREME_CAUSE}"
-        raise NegativeVarianceCombination(f"{name} = {variance!r} is {problem}")
-    return math.sqrt(variance)
+def _prevalence_interval(est, v, n, mcar, lam, log, exp, sqrt, where) -> tuple:
+    """``(sigma, lo, hi, boundary)`` of the prevalence estimate ``est``, from
+    the plug-in ``v`` = V1..V4 at population size ``n`` and the critical
+    value ``lam``.
+
+    The variance is ``V3 / N``, or ``(V1 + V2) / N`` under ``mcar``, where
+    the correction is the identity: the biased estimate takes ``mcar`` under
+    every mechanism.  One that is negative, NaN or infinite raises
+    :class:`NegativeVarianceCombination`.  The interval is
+    ``logit^{-1}(logit(est) -/+ lam * sigma / (est (1 - est)))``
+    (:func:`_logit_endpoints`); an estimate of 0 or 1 sets ``boundary`` and
+    has NaN endpoints.  A NaN estimate marks a discarded replicate: it is not
+    checked and gives NaN.  Floats (``math.log``, ``math.exp``,
+    ``math.sqrt``, :func:`_choose`) give the bits that float64 columns give
+    (those two by ``map``, ``np.sqrt``, ``np.where``)."""
+    name = "(V1 + V2) / N" if mcar else "V3 / N"
+    var = (v[0] + v[1] if mcar else v[2]) / n
+    kept = est == est
+    _refuse(kept & where(var < math.inf, var < 0.0, True), var, n, name, " = ", ("negative", _NEGATIVE_CAUSE))
+    sigma = sqrt(where(kept, var, math.nan))
+    interior = (0.0 < est) & (est < 1.0)
+    e = where(interior, est, 0.5)
+    lo, hi = _logit_endpoints(e, lam * sigma / (e * (1.0 - e)), log, exp, where)
+    return sigma, where(interior, lo, math.nan), where(interior, hi, math.nan), (est <= 0.0) | (est >= 1.0)
 
 
-def sigma_p(v, n: int) -> float:
-    """Standard error of the biased estimate, ``sqrt((V1 + V2) / N)``;
-    :class:`NegativeVarianceCombination` unless it is finite and real."""
-    if n < 1:
-        raise InvalidSpec("population size must be at least 1")
-    return _root((v[0] + v[1]) / n, "(V1 + V2) / N")
+def _information_interval(i_hat, p, p0, v, n, mcar, lam, sqrt, where) -> tuple:
+    """``(sigma, lo, hi, undefined)`` of the information estimate ``i_hat``
+    of ``log(p / p0)``, from the estimates ``p`` and ``p0``, the plug-in
+    ``v`` = V1..V4 at population size ``n`` and the critical value ``lam``.
+
+    ``sigma^2 = ((V1 + V2)/p^2 + V3/p0^2 - 2 V4/(p p0)) / N``, with a bracket
+    down to ``-1e-9`` clipped to 0; below that, NaN or infinite (a ``p`` or
+    ``p0`` whose square underflows included) it raises
+    :class:`NegativeVarianceCombination`.  Under ``mcar`` ``p0`` is ``p``,
+    so ``I_T`` is 0 by construction and ``sigma`` is 0.  The interval is
+    ``i_hat -/+ lam * sigma``.  Unless both estimates lie in (0, 1) it is
+    ``undefined``, with NaN ``sigma`` and endpoints, and not checked.
+    Floats (``math.sqrt``, :func:`_choose`) give the bits that float64
+    columns give (``np.sqrt``, ``np.where``)."""
+    defined = (0.0 < p) & (p < 1.0) & (0.0 < p0) & (p0 < 1.0)
+    if mcar:
+        bracket = 0.0
+    else:
+        try:
+            bracket = (v[0] + v[1]) / (p * p) + v[2] / (p0 * p0) - 2.0 * v[3] / (p * p0)
+        except ZeroDivisionError:  # floats only: columns give inf or NaN
+            bracket = math.inf
+    bad = defined & where(bracket < math.inf, bracket < -_CLIP_TOL, True)
+    _refuse(bad, bracket, n, "variance combination", " ", ("negative beyond tolerance", None))
+    sigma = sqrt(where(defined, where(bracket < 0.0, 0.0, bracket), math.nan) / n)
+    return sigma, i_hat - lam * sigma, i_hat + lam * sigma, where(defined, False, True)
 
 
-def sigma_p0(v, n: int) -> float:
-    """Standard error of the corrected estimate, ``sqrt(V3 / N)``;
-    :class:`NegativeVarianceCombination` unless it is finite and real."""
-    if n < 1:
-        raise InvalidSpec("population size must be at least 1")
-    return _root(v[2] / n, "V3 / N")
+def sigma_it(v, p: float, p_bar0: float, n: int) -> float:
+    """Standard error of the information estimate at population size ``n``:
+    :func:`_information_interval` on floats, from ``v`` = V1..V4 at ``p`` and
+    ``p_bar0``; NaN unless both lie in (0, 1).  With ``V2 = 0`` it is the
+    standard error given the per-class tested counts, which is never larger."""
+    return _information_interval(0.0, p, p_bar0, v, n, False, 0.0, math.sqrt, _choose)[0]

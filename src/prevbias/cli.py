@@ -20,10 +20,11 @@ import os
 import sys
 
 from . import __version__
-from .asymptotics import ci_active_info, ci_logit_prevalence, sigma_it, sigma_p, sigma_p0
+from .asymptotics import _choose, _information_interval, _prevalence_interval, normal_quantile
 from .config import decode_json, load_scenario, parse_count_table, read_input
-from .errors import BoundaryEstimate, InvalidSpec, PrevBiasError
+from .errors import InvalidSpec, PrevBiasError
 from .estimators import build_bundle
+from .model import MCAR
 
 ACTIVEINFO_COLUMNS = (
     "n",
@@ -122,29 +123,24 @@ def cmd_estimate(args) -> int:
     if empty:
         warnings.append(f"symptom classes without tested individuals: {empty}")
 
-    v = bundle.variances
+    v, n, lam, mcar = bundle.variances, outcome.n, normal_quantile(alpha), mechanism.kind == MCAR
+    if v.degenerate:
+        warnings.append("a class positive rate is 0 or 1; its variance contribution is zero")
     try:
-        if v.degenerate:
-            warnings.append("a class positive rate is 0 or 1; its variance contribution is zero")
-        # both or neither: a negative variance leaves no sigma behind
-        result["sigma_p"], result["sigma_p0"] = sigma_p(v, outcome.n), sigma_p0(v, outcome.n)
-        for target, est, sig in (
-            ("ci_p", bundle.p_hat, result["sigma_p"]),
-            ("ci_p0", bundle.p0_hat, result["sigma_p0"]),
-        ):
-            try:
-                ci = ci_logit_prevalence(est, sig, alpha)
-                result[target] = [ci.lo, ci.hi]
-            except BoundaryEstimate:
-                result[target] = None
-                warnings.append(f"{target} undefined: estimate on the boundary")
-        if 0.0 < bundle.p_hat < 1.0 and 0.0 < bundle.p0_hat < 1.0:
-            result["sigma_i_t"] = sigma_it(v, bundle.p_hat, bundle.p0_hat, outcome.n)
-            ci = ci_active_info(bundle.i_t_hat, result["sigma_i_t"], alpha)
-            result["ci_i_t"] = [ci.lo, ci.hi]
-        else:
-            result["sigma_i_t"] = None
-            result["ci_i_t"] = None
+        # both or neither: a variance that fails its check leaves no sigma
+        # behind; the biased estimate takes the mcar variance under every mechanism
+        prevalence = [
+            (name, _prevalence_interval(est, v, n, flag, lam, math.log, math.exp, math.sqrt, _choose))
+            for name, est, flag in (("p", bundle.p_hat, True), ("p0", bundle.p0_hat, mcar))
+        ]
+        for name, (sigma, lo, hi, boundary) in prevalence:
+            result[f"sigma_{name}"], result[f"ci_{name}"] = sigma, None if boundary else [lo, hi]
+            if boundary:
+                warnings.append(f"ci_{name} undefined: estimate on the boundary")
+        sigma, lo, hi, undefined = _information_interval(
+            bundle.i_t_hat, bundle.p_hat, bundle.p0_hat, v, n, mcar, lam, math.sqrt, _choose
+        )
+        result["sigma_i_t"], result["ci_i_t"] = (None, None) if undefined else (sigma, [lo, hi])
     except PrevBiasError as exc:
         warnings.append(f"standard errors unavailable: {exc}")
 

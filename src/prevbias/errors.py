@@ -42,10 +42,6 @@ class EmptyRegion(InvalidSpec):
     """The constrained share region contains no share vector."""
 
 
-class BoundaryEstimate(PrevBiasError):
-    """A prevalence estimate of exactly 0 or 1 has no logit confidence interval."""
-
-
 class NegativeVarianceCombination(PrevBiasError, ValueError):
     """A plug-in variance or variance combination is negative beyond numerical
     tolerance, as when a symptom class was tested beyond N times its share, or

@@ -13,10 +13,11 @@ are byte-stable for a given configuration.
 The engine works on one grid position at a time.  It draws every replicate's
 counts, then computes the estimates, standard errors and intervals of all
 replicates at once (:func:`replicate_columns`) on numpy columns, through the
-plug-in stage ``_plugin_sums`` and the kernel ``_logit_endpoints`` that its
-reference, the one-shot :func:`prevbias.estimators.build_bundle` and
-:func:`prevbias.asymptotics.ci_logit_prevalence`, call on Python floats;
-only ``math.log`` and ``math.exp`` run entry by entry.
+plug-in stage ``_plugin_sums`` and the prevalence-interval kernel
+``_prevalence_interval`` that ``prevbias estimate`` calls on Python floats;
+only ``math.log`` and ``math.exp`` run entry by entry.  It forms no
+information interval, which no table reports, but keeps the V1..V4 columns
+that one needs.
 
 Aggregation of the information tables averages the probability estimates
 across replicates first and takes logarithms of the means.  When the
@@ -35,8 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _EXTREME_CAUSE, _NEGATIVE_CAUSE, _logit_endpoints, _plugin_sums, normal_quantile
-from .errors import InvalidSpec, NegativeVarianceCombination
+from .asymptotics import _plugin_sums, _prevalence_interval, normal_quantile
+from .errors import InvalidSpec
 from .model import MCAR, Mechanism, _cells, _coerce_alpha, _coerce_matrix, _coerce_whole
 from .population import PopulationSpec, population_prevalence
 from .rng import RngStream
@@ -122,7 +123,10 @@ class ReplicateColumns:
     """Per-replicate results at one grid position, one array entry per
     replicate.  ``ok`` is False for discarded replicates (an empty sample or
     an empty positively-weighted class); their floats are NaN and their flags
-    False.  Boundary estimates (0 or 1) have NaN endpoints and no hit."""
+    False.  Boundary estimates (0 or 1) have NaN endpoints and no hit.
+    ``sigma_p0`` is the standard error of ``p0_hat``, which is ``p_hat``
+    under mcar, and ``variances`` holds the plug-in V1..V4 columns, whose
+    entries mean nothing where ``ok`` is False."""
 
     ok: np.ndarray
     p_hat: np.ndarray
@@ -134,6 +138,7 @@ class ReplicateColumns:
     boundary: np.ndarray
     degenerate: np.ndarray
     it_defined: np.ndarray
+    variances: tuple
 
 
 def _draw_counts(cfg: ScenarioConfig) -> list[np.ndarray]:
@@ -160,12 +165,12 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     :meth:`Mechanism.check_against`.  Those shares and ``ok`` are formed
     here; the rest is the plug-in stage's.
 
-    Bit for bit what :func:`build_bundle`, :func:`sigma_p0` and
-    :func:`ci_logit_prevalence` give replicate by replicate (for populations
-    below 2**53): they call the same :func:`_plugin_sums` and
-    :func:`_logit_endpoints`, here on columns, and a V3 that is negative, NaN
-    or infinite in a kept replicate raises the
-    :class:`NegativeVarianceCombination` of :func:`sigma_p0`.
+    Bit for bit what :func:`build_bundle` and the prevalence-interval kernel
+    ``_prevalence_interval`` give replicate by replicate on floats, as
+    ``prevbias estimate`` runs them (for populations below 2**53): the same
+    :func:`_plugin_sums` and kernel, here on columns.  A variance that is
+    negative, NaN or infinite in a kept replicate raises the kernel's
+    :class:`NegativeVarianceCombination`, which counts those replicates.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n_si = np.asarray(n_si, dtype=np.int64)
@@ -184,26 +189,11 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         shares = n_ts / n_t[:, None] if mcar else np.broadcast_to(mechanism.rho_s, n_ts.shape)
         ok = (n_t > 0) & ~np.any((shares > 0.0) & (n_ts == 0), axis=1)
         # as build_bundle, on (S, R) columns
-        p0, _, _, v3, _, degenerate = _plugin_sums(n, n_t, n_ts.T, positives.T, shares.T, mcar, np.where)
-        p0_h = p_h if mcar else p0
-        v3 = v3 / n
-        bad = np.flatnonzero(ok & ~((0.0 <= v3) & (v3 < np.inf)))
-        if bad.size:
-            first = bad[0]
-            kind, cause = ("negative", _NEGATIVE_CAUSE) if v3[first] < 0.0 else ("not finite", _EXTREME_CAUSE)
-            raise NegativeVarianceCombination(
-                f"V3 / N is {kind} in {bad.size} of {len(counts)} replicates at N = {n} "
-                f"(first: replicate {first}); {cause}"
-            )
-        sigma = np.sqrt(v3)
-
-        p_h, p0_h, sigma = (np.where(ok, x, np.nan) for x in (p_h, p0_h, sigma))
-        interior = ok & (0.0 < p0_h) & (p0_h < 1.0)
-        half = normal_quantile(alpha) * sigma / (p0_h * (1.0 - p0_h))
-
-    lo, hi = np.full((2, len(counts)), np.nan)
-    idx = np.flatnonzero(interior)
-    lo[idx], hi[idx] = _logit_endpoints(p0_h[idx], half[idx], _libm(math.log), _libm(math.exp), np.where)
+        p0, *v, degenerate = _plugin_sums(n, n_t, n_ts.T, positives.T, shares.T, mcar, np.where)
+        p_h, p0_h = (np.where(ok, x, np.nan) for x in (p_h, p_h if mcar else p0))
+        sigma, lo, hi, boundary = _prevalence_interval(
+            p0_h, v, n, mcar, normal_quantile(alpha), _libm(math.log), _libm(math.exp), np.sqrt, np.where
+        )
     return ReplicateColumns(
         ok=ok,
         p_hat=p_h,
@@ -212,9 +202,10 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         lo=lo,
         hi=hi,
         hit=(lo <= p0_true) & (p0_true <= hi),
-        boundary=ok & ~interior,
+        boundary=boundary,
         degenerate=ok & degenerate,
         it_defined=ok & (p_h > 0.0) & (p0_h > 0.0),
+        variances=tuple(v),
     )
 
 

@@ -219,9 +219,11 @@ def exact_quantities(spec: PopulationSpec, mech: Mechanism) -> AsymptoticQuantit
     Requires per-symptom testing probabilities (``pi[s, i] = pi_s``) and a
     mechanism that passes :meth:`Mechanism.check_against`.  The limiting
     share weights ``rho_bar`` are the known shares under mar, the exact mean
-    shares of the bounds under maxent and the true class shares under mcar,
-    so there ``v3`` is the known-share variance that criterion c7 and the
-    quickstart use, not that of the mcar estimate.
+    shares of the bounds under maxent and the true class shares under mcar.
+    So under mcar ``v3`` is the known-share variance that criterion c7 and
+    the quickstart read, not that of the mcar estimate: that estimate is the
+    biased one, whose variance is ``v1 + v2``, as the interval kernels of
+    :mod:`prevbias.asymptotics` take it under mcar.
 
     Returns
     -------

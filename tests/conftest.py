@@ -20,7 +20,9 @@ from prevbias import (
     PrevBiasError,
     SimplexSlab,
     VarianceEstimates,
+    normal_quantile,
 )
+from prevbias.asymptotics import _choose, _information_interval, _prevalence_interval
 
 # Base two-class population: shares rho[s][i] with s = symptom level,
 # i = infection status.  True prevalence 0.05 + 0.15 = 0.20.
@@ -427,6 +429,20 @@ def generated_count_tables(count: int, seed: int) -> list[dict]:
     return [generated_count_table(rng) for _ in range(count)]
 
 
+# The interval kernels on one table's Python floats, as `prevbias estimate`
+# runs them.
+
+
+def prevalence_interval(est, v, n, mcar, alpha):
+    """``(sigma, lo, hi, boundary)`` of `_prevalence_interval` on floats."""
+    return _prevalence_interval(est, v, n, mcar, normal_quantile(alpha), math.log, math.exp, math.sqrt, _choose)
+
+
+def information_interval(i_hat, p, p0, v, n, mcar, alpha):
+    """``(sigma, lo, hi, undefined)`` of `_information_interval` on floats."""
+    return _information_interval(i_hat, p, p0, v, n, mcar, normal_quantile(alpha), math.sqrt, _choose)
+
+
 # The exact finite-N law of the study engine at one population: every count
 # table the product-binomial draw can give, weighted by its probability, run
 # through `replicate_columns` as the engine runs its draws.
@@ -459,49 +475,42 @@ EXACT_LAW_SUMS = ("total", "kept", "p0_hat", "p0_hat_sq", "cover_p0", "cover_p_b
 
 
 def exact_law(spec, mechanism, alpha):
-    """Exact probabilities of what the study engine reports at ``spec``, for a
-    mechanism with fixed shares (mar, bounded maxent).
+    """Exact probabilities of what the study engine reports at ``spec``, for
+    mcar or a mechanism with fixed shares (mar, bounded maxent).
 
     Returns ``total`` (the probability of all tables, 1 up to rounding),
     ``kept`` (P(kept)), the mean and variance of ``p0_hat`` given a kept
     table, and, given a kept table, the probability that ``ci_p0`` covers
     ``p0`` (``cover_p0``) and the corrected estimator's limit
     `corrected_prevalence_limit` (``cover_p_bar0``), and that the information
-    interval ``I_T -/+ lambda sigma_IT`` covers ``log(p / p0)``
-    (``cover_i_t``).  Boundary estimates carry no interval and count as
-    misses.  ``sigma_IT`` is `sigma_it`'s expression on columns, with V1..V4
-    from the engine's plug-in stage `_plugin_sums` on the same columns."""
-    from prevbias import corrected_prevalence_limit, normal_quantile, population_prevalence
+    interval covers ``log(p / p0)`` (``cover_i_t``).  Boundary estimates
+    carry no interval and count as misses.  The information interval is the
+    kernel `_information_interval` on the engine's columns, V1..V4 included."""
+    from prevbias import corrected_prevalence_limit, population_prevalence
     from prevbias import testing_prevalence as prevalence_among_tested
-    from prevbias.asymptotics import _CLIP_TOL, _plugin_sums
     from prevbias.experiments import replicate_columns
+    from prevbias.model import MCAR
 
-    n = spec.n
-    p0, p_bar0 = population_prevalence(spec), corrected_prevalence_limit(spec, mechanism.rho_s)
+    mcar = mechanism.kind == MCAR
+    p0 = population_prevalence(spec)
+    p_bar0 = corrected_prevalence_limit(spec, None if mcar else mechanism.rho_s)
     i_true = math.log(prevalence_among_tested(spec) / p0)
     lam = normal_quantile(alpha)
-    shares = np.asarray(mechanism.rho_s)[:, None]
     sums = dict.fromkeys(EXACT_LAW_SUMS, 0.0)
     for counts, prob in exact_count_tables(spec):
         cols = replicate_columns(counts, spec.n_si, mechanism, p0, alpha)
         ok, p_h, p0_h = cols.ok, cols.p_hat, cols.p0_hat
-        n_ts = counts.sum(axis=2).T
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, v1, v2, v3, v4, _ = _plugin_sums(
-                n, n_ts.sum(axis=0), n_ts, counts[:, :, 1].T, shares, False, np.where
+            _, lo, hi, _ = _information_interval(
+                np.log(p_h / p0_h), p_h, p0_h, cols.variances, spec.n, mcar, lam, np.sqrt, np.where
             )
-            bracket = (v1 + v2) / (p_h * p_h) + v3 / (p0_h * p0_h) - 2.0 * v4 / (p_h * p0_h)
-            sigma_i = np.sqrt(np.maximum(bracket, 0.0) / n)
-            i_hat = np.log(p_h / p0_h)
-        has_ci_i_t = ok & (0.0 < p_h) & (p_h < 1.0) & (0.0 < p0_h) & (p0_h < 1.0) & (bracket >= -_CLIP_TOL)
-        covers_i_t = has_ci_i_t & (i_hat - lam * sigma_i <= i_true) & (i_true <= i_hat + lam * sigma_i)
         sums["total"] += prob.sum()
         sums["kept"] += prob[ok].sum()
         sums["p0_hat"] += prob[ok] @ p0_h[ok]
         sums["p0_hat_sq"] += prob[ok] @ (p0_h[ok] * p0_h[ok])
         sums["cover_p0"] += prob[cols.hit].sum()
         sums["cover_p_bar0"] += prob[(cols.lo <= p_bar0) & (p_bar0 <= cols.hi)].sum()
-        sums["cover_i_t"] += prob[covers_i_t].sum()
+        sums["cover_i_t"] += prob[(lo <= i_true) & (i_true <= hi)].sum()
     kept = sums["kept"]
     mean = sums["p0_hat"] / kept
     return {

@@ -9,7 +9,6 @@ import pytest
 from scipy import special, stats
 
 from prevbias import (
-    BoundaryEstimate,
     EmptyStratum,
     InvalidSpec,
     Mechanism,
@@ -17,18 +16,15 @@ from prevbias import (
     RngStream,
     TestingOutcome as Outcome,
     VarianceEstimates,
-    ci_active_info,
     build_bundle,
-    ci_logit_prevalence,
     draw_outcome,
     normal_quantile,
     p_hat,
     sigma_it,
-    sigma_p,
-    sigma_p0,
 )
+from prevbias.asymptotics import _information_interval
 
-from conftest import MAR_ORACLE, PI_MAR, base_spec
+from conftest import MAR_ORACLE, PI_MAR, base_spec, information_interval, prevalence_interval
 
 MAR_V = tuple(float(MAR_ORACLE[k]) for k in ("v1", "v2", "v3", "v4"))
 MAR_P = float(MAR_ORACLE["p"])
@@ -38,8 +34,9 @@ class TestQuantile:
     def test_two_sided_critical_values(self):
         assert normal_quantile(0.05) == pytest.approx(1.959963985, abs=1e-8)
         assert normal_quantile(1.0) == pytest.approx(0.0, abs=1e-12)
-        for alpha in (1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9):
-            assert normal_quantile(alpha) == pytest.approx(stats.norm.ppf(1 - alpha / 2), abs=1e-14)
+        # isf(alpha / 2), not ppf(1 - alpha / 2): the oracle must not round the level
+        for alpha in (1e-15, 1e-12, 1e-6, 0.01, 0.1, 0.5, 0.9):
+            assert normal_quantile(alpha) == pytest.approx(stats.norm.isf(alpha / 2), abs=1e-14)
         # the level 1 - alpha/2 rounds to 1 below alpha = 2^-53: the lower tail
         assert normal_quantile(1e-20) == pytest.approx(stats.norm.isf(5e-21), rel=1e-13)
 
@@ -51,8 +48,9 @@ class TestQuantile:
         # finite down to 1e-323, the smallest alpha whose half is a positive float
         for alpha in (2.0**-53, 1e-20, 1e-100, 1e-320, 1e-323):
             assert normal_quantile(alpha) == pytest.approx(stats.norm.isf(alpha / 2), rel=1e-13)
-        # above 2^-53 the quantile of the level keeps its bits
-        assert normal_quantile(2.0**-52) == NormalDist().inv_cdf(1.0 - 2.0**-53)
+        # below 0.01 the lower tail, from 0.01 up the quantile of the level
+        assert normal_quantile(2.0**-52) == -NormalDist().inv_cdf(2.0**-53)
+        assert normal_quantile(0.01) == NormalDist().inv_cdf(1.0 - 0.005)
         with pytest.raises(InvalidSpec, match=r"alpha must lie in \[1e-323, 1\]"):
             normal_quantile(5e-324)
 
@@ -94,35 +92,39 @@ class TestPluginVariances:
             build_bundle(out, Mechanism.mar([0.8, 0.2]))
 
 
+def logit_ci(est, variance, alpha):
+    """``(lo, hi)`` of the prevalence kernel for an estimate of that variance."""
+    return tuple(prevalence_interval(est, (0.0, 0.0, variance, 0.0), 1, False, alpha)[1:3])
+
+
 class TestLogitInterval:
     def test_reference_interval(self):
-        ci = ci_logit_prevalence(0.5, 0.05, 0.05)
-        assert ci.lo == pytest.approx(0.403237, abs=1e-4)
-        assert ci.hi == pytest.approx(0.596763, abs=1e-4)
+        lo, hi = logit_ci(0.5, 0.05**2, 0.05)
+        assert lo == pytest.approx(0.403237, abs=1e-4)
+        assert hi == pytest.approx(0.596763, abs=1e-4)
         # symmetric about 1/2 because the log-odds map is antisymmetric there
-        assert ci.lo + ci.hi == pytest.approx(1.0, abs=1e-12)
+        assert lo + hi == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_sigma_is_a_point(self):
-        ci = ci_logit_prevalence(0.37, 0.0, 0.05)
-        assert (ci.lo, ci.hi) == (0.37, 0.37)
+        assert logit_ci(0.37, 0.0, 0.05) == (0.37, 0.37)
 
     def test_alpha_one_is_a_point(self):
-        ci = ci_logit_prevalence(0.37, 0.1, 1.0)
-        assert (ci.lo, ci.hi) == (0.37, 0.37)
+        assert logit_ci(0.37, 0.01, 1.0) == (0.37, 0.37)
 
     def test_zero_sigma_is_a_point_at_an_infinite_quantile(self):
-        # below alpha = 2^-53 the quantile is finite, taken from the lower tail
-        ci = ci_logit_prevalence(0.37, 0.0, 1e-20)
-        assert (ci.lo, ci.hi) == (0.37, 0.37)
-        ci = ci_logit_prevalence(0.37, 0.1, 1e-20)
+        # below alpha = 0.01 the quantile is taken from the lower tail, finite
+        assert logit_ci(0.37, 0.0, 1e-20) == (0.37, 0.37)
         half = stats.norm.isf(5e-21) * 0.1 / (0.37 * 0.63)
         expected = special.expit(special.logit(0.37) + np.array([-half, half]))
-        assert [ci.lo, ci.hi] == pytest.approx(expected, rel=1e-12)
+        assert logit_ci(0.37, 0.01, 1e-20) == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_estimates_rejected(self):
         for est in (0.0, 1.0):
-            with pytest.raises(BoundaryEstimate):
-                ci_logit_prevalence(est, 0.1, 0.05)
+            sigma, lo, hi, boundary = prevalence_interval(est, (0.0, 0.0, 0.01, 0.0), 1, False, 0.05)
+            assert boundary and sigma == 0.1 and math.isnan(lo) and math.isnan(hi)
+        # a NaN estimate marks a discarded replicate: no interval, no check, no flag
+        sigma, lo, hi, boundary = prevalence_interval(math.nan, (0.0, 0.0, -1.0, 0.0), 1, False, 0.05)
+        assert not boundary and all(map(math.isnan, (sigma, lo, hi)))
 
     def test_endpoints_stay_inside_unit_interval_fuzzed(self):
         rng = np.random.default_rng(55)
@@ -130,30 +132,43 @@ class TestLogitInterval:
         # half-widths so large that the logistic function rounds to 0 and 1
         cases += [(1e-9, 10.0), (1 - 1e-9, 10.0)]
         for est, sigma in cases:
-            ci = ci_logit_prevalence(est, sigma, 0.05)
-            assert 0.0 < ci.lo <= est <= ci.hi < 1.0
+            lo, hi = logit_ci(est, sigma * sigma, 0.05)
+            assert 0.0 < lo <= est <= hi < 1.0
+
+    def test_mcar_takes_the_variance_of_the_biased_estimate(self):
+        v = (0.1, 0.2, 0.05, 0.01)
+        biased = prevalence_interval(0.3, (0.3, 0.0, 0.3, 0.0), 100, False, 0.05)  # V1 + V2 as V3
+        assert prevalence_interval(0.3, v, 100, True, 0.05) == biased
+        assert prevalence_interval(0.3, v, 100, False, 0.05)[0] == math.sqrt(0.05 / 100)
 
 
 class TestInfoInterval:
     def test_reference_interval(self):
-        ci = ci_active_info(0.99, 0.1, 0.05)
-        assert ci.lo == pytest.approx(0.794004, abs=1e-5)
-        assert ci.hi == pytest.approx(1.185996, abs=1e-5)
+        sigma, lo, hi, undefined = information_interval(0.99, MAR_P, 0.2, MAR_V, 10**6, False, 0.05)
+        assert sigma == sigma_it(MAR_V, MAR_P, 0.2, 10**6)
+        assert (lo, hi) == pytest.approx((0.99 - 1.959963985 * sigma, 0.99 + 1.959963985 * sigma), abs=1e-9)
+        assert not undefined
 
     def test_zero_sigma_point(self):
-        ci = ci_active_info(0.5, 0.0, 0.05)
-        assert (ci.lo, ci.hi) == (0.5, 0.5)
+        assert information_interval(0.5, 0.3, 0.2, (0.0,) * 4, 100, False, 0.05)[1:] == (0.5, 0.5, False)
 
     def test_alpha_one_point(self):
-        ci = ci_active_info(0.5, 0.3, 1.0)
-        assert (ci.lo, ci.hi) == (0.5, 0.5)
+        assert information_interval(0.5, MAR_P, 0.2, MAR_V, 100, False, 1.0)[1:] == (0.5, 0.5, False)
 
     def test_zero_sigma_point_at_an_infinite_quantile(self):
-        ci = ci_active_info(0.5, 0.0, 1e-20)
-        assert (ci.lo, ci.hi) == (0.5, 0.5)
-        ci = ci_active_info(0.5, 0.3, 1e-20)
-        width = stats.norm.isf(5e-21) * 0.3
-        assert [ci.lo, ci.hi] == pytest.approx([0.5 - width, 0.5 + width], rel=1e-13)
+        assert information_interval(0.5, 0.3, 0.2, (0.0,) * 4, 100, False, 1e-20)[1:] == (0.5, 0.5, False)
+        sigma, lo, hi, _ = information_interval(0.5, MAR_P, 0.2, MAR_V, 100, False, 1e-20)
+        width = stats.norm.isf(5e-21) * sigma
+        assert [lo, hi] == pytest.approx([0.5 - width, 0.5 + width], rel=1e-13)
+
+    def test_mcar_is_a_point_at_zero(self):
+        # p0_hat is p_hat under mcar, so I_T is 0 whatever V1..V4 say
+        assert information_interval(0.0, 0.3, 0.3, MAR_V, 100, True, 0.05) == (0.0, 0.0, 0.0, False)
+
+    def test_estimates_outside_the_open_unit_interval_are_undefined_and_unchecked(self):
+        for p, p0 in ((0.0, 0.2), (0.3, 1.0), (math.nan, 0.2)):
+            sigma, lo, hi, undefined = information_interval(0.1, p, p0, (0.0, 0.0, 0.0, 1.0), 100, False, 0.05)
+            assert undefined and all(map(math.isnan, (sigma, lo, hi)))
 
 
 class TestSigmaIT:
@@ -162,8 +177,9 @@ class TestSigmaIT:
         assert sigma == pytest.approx(0.0029377728, abs=1e-9)
 
     def test_conditional_is_strictly_smaller(self):
+        # given the per-class tested counts V2 drops out
         unconditional = sigma_it(MAR_V, MAR_P, 0.2, 10**6)
-        conditional = sigma_it(MAR_V, MAR_P, 0.2, 10**6, conditional=True)
+        conditional = sigma_it((MAR_V[0], 0.0, *MAR_V[2:]), MAR_P, 0.2, 10**6)
         assert conditional == pytest.approx(0.0027851800, abs=1e-9)
         assert conditional < unconditional
 
@@ -179,7 +195,7 @@ class TestSigmaIT:
             p, pb = rng.uniform(0.05, 0.95, size=2)
             try:
                 s_u = sigma_it((v1, v2, v3, v4), p, pb, 1000)
-                s_c = sigma_it((v1, v2, v3, v4), p, pb, 1000, conditional=True)
+                s_c = sigma_it((v1, 0.0, v3, v4), p, pb, 1000)
             except NegativeVarianceCombination:
                 continue
             assert s_c <= s_u + 1e-15
@@ -196,15 +212,14 @@ class TestSigmaIT:
         p_bar0 = np.array(planted[::-1] + rng.uniform(0.05, 0.95, size=30).tolist())
         v1, v2, v3 = rng.uniform(0.0, 1.0, size=(3, p.size))
         v4 = 0.9 * rng.uniform(-1.0, 1.0, size=p.size) * np.sqrt(v1 * v3)
-        for conditional in (False, True):
-            top = v1 if conditional else v1 + v2
-            bracket = top / (p * p) + v3 / (p_bar0 * p_bar0) - 2.0 * v4 / (p * p_bar0)
+        for v2 in (v2, np.zeros(p.size)):  # with V2 = 0, given the tested counts
+            bracket = (v1 + v2) / (p * p) + v3 / (p_bar0 * p_bar0) - 2.0 * v4 / (p * p_bar0)
             columns = np.sqrt(bracket / 1000)
+            kernel = _information_interval(0.0, p, p_bar0, (v1, v2, v3, v4), 1000, False, 0.0, np.sqrt, np.where)
             scalars = [
-                sigma_it(v, a, b, 1000, conditional=conditional)
-                for v, a, b in zip(zip(v1, v2, v3, v4), p.tolist(), p_bar0.tolist())
+                sigma_it(v, a, b, 1000) for v, a, b in zip(zip(v1, v2, v3, v4), p.tolist(), p_bar0.tolist())
             ]
-            assert scalars == columns.tolist()
+            assert scalars == columns.tolist() == kernel[0].tolist()
 
     def test_tiny_negative_bracket_clipped(self):
         v4 = 1e-10 * 0.25 / 2.0
@@ -213,6 +228,17 @@ class TestSigmaIT:
     def test_large_negative_bracket_raises(self):
         with pytest.raises(NegativeVarianceCombination):
             sigma_it((0.0, 0.0, 0.0, 1.0), 0.5, 0.5, 100)
+
+    def test_a_negative_bracket_in_a_column_counts_its_replicates(self):
+        p = np.array([0.5, 0.5, 0.0, 0.5])
+        v = (np.zeros(4), np.zeros(4), np.zeros(4), np.array([0.0, 1.0, 1.0, 1.0]))
+        expected = (
+            r"^variance combination is negative beyond tolerance in 2 of 4 replicates at N = 100 "
+            r"\(first: replicate 1\)$"
+        )
+        with pytest.raises(NegativeVarianceCombination, match=expected):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _information_interval(0.0, p, p, v, 100, False, 1.96, np.sqrt, np.where)
 
     @pytest.mark.parametrize(
         "v, p, p_bar0",
@@ -228,38 +254,40 @@ class TestSigmaIT:
             sigma_it(v, p, p_bar0, 100)
 
     def test_domain_checks(self):
-        with pytest.raises(InvalidSpec):
-            sigma_it(MAR_V, 0.0, 0.2, 100)
-        with pytest.raises(InvalidSpec):
-            sigma_it(MAR_V, 0.5, 1.0, 100)
+        # no standard error unless both estimates lie in (0, 1)
+        assert math.isnan(sigma_it(MAR_V, 0.0, 0.2, 100))
+        assert math.isnan(sigma_it(MAR_V, 0.5, 1.0, 100))
 
 
 class TestMarginalSigmas:
     def test_values(self):
         v = VarianceEstimates(0.1, 0.2, 0.3, 0.05)
-        assert sigma_p(v, 10_000) == pytest.approx(math.sqrt(0.3 / 10_000), abs=1e-15)
-        assert sigma_p0(v, 10_000) == pytest.approx(math.sqrt(0.3 / 10_000), abs=1e-15)
+        for mcar in (True, False):
+            sigma = prevalence_interval(0.5, v, 10_000, mcar, 0.05)[0]
+            assert sigma == pytest.approx(math.sqrt(0.3 / 10_000), abs=1e-15)
 
     def test_negative_variance_is_a_typed_value_error(self):
-        for sigma, v in ((sigma_p, (0.1, -0.2, 0.0, 0.0)), (sigma_p0, (0.0, 0.0, -1e-300, 0.0))):
+        for mcar, v in ((True, (0.1, -0.2, 0.0, 0.0)), (False, (0.0, 0.0, -1e-300, 0.0))):
             with pytest.raises(NegativeVarianceCombination) as caught:
-                sigma(v, 10)
+                prevalence_interval(0.5, v, 10, mcar, 0.05)
             assert isinstance(caught.value, ValueError)
-        assert math.copysign(1.0, sigma_p0((0.0, 0.0, -0.0, 0.0), 10)) == -1.0  # sqrt(-0.0) is -0.0
+        sigma = prevalence_interval(0.5, (0.0, 0.0, -0.0, 0.0), 10, False, 0.05)[0]
+        assert math.copysign(1.0, sigma) == -1.0  # sqrt(-0.0) is -0.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_a_variance_that_is_not_finite_raises(self, value):
-        for sigma, name in ((sigma_p, "(V1 + V2) / N"), (sigma_p0, "V3 / N")):
-            with pytest.raises(NegativeVarianceCombination, match=rf"{re.escape(name)} = {value!r} is not finite"):
-                sigma((value,) * 4, 10)
+        for mcar, name in ((True, "(V1 + V2) / N"), (False, "V3 / N")):
+            with pytest.raises(NegativeVarianceCombination, match=rf"^{re.escape(name)} = {value!r} is not finite"):
+                prevalence_interval(0.5, (value,) * 4, 10, mcar, 0.05)
 
     def test_class_tested_beyond_its_share_makes_the_plugin_variance_negative(self):
         # class 2 has 38 tested individuals, more than N * 0.2 = 20.4
         out = Outcome(counts=[[9, 5], [35, 15], [34, 4]], n=102)
-        v = build_bundle(out, Mechanism.mar(["0.5", "0.3", "0.2"])).variances
+        bundle = build_bundle(out, Mechanism.mar(["0.5", "0.3", "0.2"]))
+        v = bundle.variances
         assert v.v1 + v.v2 < 0.0
         with pytest.raises(NegativeVarianceCombination, match="tested beyond N times its share"):
-            sigma_p(v, out.n)
+            prevalence_interval(bundle.p_hat, v, out.n, True, 0.05)
 
 
 def _mar_replicates(n, reps, seed):

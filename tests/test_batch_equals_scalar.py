@@ -1,9 +1,9 @@
 """The batched replicate engine against the scalar estimators, bit for bit.
 
 `replicate_columns` computes every replicate of a counts array at once; the
-scalar oracle below runs what `prevbias estimate` runs (`build_bundle`,
-`sigma_p0` and `ci_logit_prevalence`) on one `TestingOutcome` at a time, as
-the engine did before it was batched.  Every per-replicate column must agree
+scalar oracle below runs what `prevbias estimate` runs (`build_bundle` and
+the prevalence-interval kernel on floats) on one `TestingOutcome` at a time,
+as the engine did before it was batched.  Every per-replicate column must agree
 to the last bit (NaNs compare equal) on random count arrays for S = 2..5 and
 9 classes, under mcar, mar and bounded maxent, with empty samples, empty
 weighted classes, zero and all positives, class rates of 0 or 1,
@@ -17,18 +17,17 @@ import numpy as np
 import pytest
 
 from prevbias import (
-    BoundaryEstimate,
     EmptySample,
     EmptyStratum,
     InvalidSpec,
     Mechanism,
     NegativeVarianceCombination,
     build_bundle,
-    ci_logit_prevalence,
-    sigma_p0,
 )
 from prevbias.experiments import replicate_columns
 from prevbias.sampler import TestingOutcome as Outcome
+
+from conftest import prevalence_interval
 
 FLOAT_COLUMNS = ("p_hat", "p0_hat", "sigma_p0", "lo", "hi")
 FLAG_COLUMNS = ("ok", "hit", "boundary", "degenerate", "it_defined")
@@ -52,13 +51,8 @@ def scalar_replicate(counts, n_si, mechanism, p0_true, alpha) -> dict:
     except (EmptySample, EmptyStratum):
         return DISCARDED
     p_h, p0_h, v = bundle.p_hat, bundle.p0_hat, bundle.variances
-    s_p0 = sigma_p0(v, outcome.n)
-    try:
-        ci = ci_logit_prevalence(p0_h, s_p0, alpha)
-        lo, hi, hit, boundary = ci.lo, ci.hi, ci.contains(p0_true), False
-    except BoundaryEstimate:
-        lo = hi = math.nan
-        hit, boundary = False, True
+    s_p0, lo, hi, boundary = prevalence_interval(p0_h, v, outcome.n, mechanism.kind == "mcar", alpha)
+    hit = lo <= p0_true <= hi
     return dict(
         ok=True, p_hat=p_h, p0_hat=p0_h, sigma_p0=s_p0, lo=lo, hi=hi, hit=hit,
         boundary=boundary, degenerate=v.degenerate, it_defined=p_h > 0.0 and p0_h > 0.0,

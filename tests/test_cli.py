@@ -62,6 +62,16 @@ class TestEstimate:
         assert result["p0_hat"] == result["p_hat"]
         assert result["i_t_hat"] == 0.0
 
+    def test_uniform_testing_intervals_are_those_of_the_biased_estimate(self):
+        # p0_hat is p_hat, so ci_p0 is ci_p (sqrt(V3 / N) gave 0.007458 here
+        # and covered p0 about 84% of the time), and I_T has no noise
+        doc = {"N": 1000, "counts": [[451, 30], [29, 90]], "mechanism": {"type": "mcar"}}
+        result = json.loads(run_cli(["estimate"], stdin=json.dumps(doc)).stdout)
+        assert result["sigma_p0"] == result["sigma_p"] == pytest.approx(0.010328, abs=1e-6)
+        assert result["ci_p0"] == result["ci_p"]
+        assert (result["sigma_i_t"], result["ci_i_t"]) == (0.0, [0.0, 0.0])
+        assert result["warnings"] == []
+
     def test_bounded_share_input(self):
         doc = dict(MAR_INPUT, mechanism={"type": "maxent"}, N=1000)
         doc["counts"] = [[380, 20], [40, 60]]

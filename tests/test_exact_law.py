@@ -5,8 +5,7 @@ product-binomial probability and runs them through `replicate_columns` in
 chunks, so coverage at small N is exact and free of seeds.
 
 At N <= 30 it must agree with `enumerate_outcomes` run through the one-shot
-path (`build_bundle`, `sigma_p0`, `ci_logit_prevalence`, `sigma_it` and
-`ci_active_info`), table by table:
+path (`build_bundle` and the interval kernels on floats), table by table:
 
 * the same tables in the same order;
 * the same probabilities, bit for bit, with a total of 1;
@@ -17,6 +16,11 @@ On the bundled `mar` shape it pins the exact coverage at N = 20, 100 and
 and 0.644, and the information interval covers log(p / p0) with 0.63, 0.55
 and 0.66: far below the nominal 0.95.  Acceptance check c4 expects
 undercoverage at small N from seeded replicates; these are its exact values.
+
+On the bundled `mcar` shape (pi = 0.6, p0 = 0.2) `ci_p0` is `ci_p`, built
+from the standard error of `p_hat`, and covers p0 with probability 0.9505 at
+N = 100 and 0.9512 at N = 200.  Built from sqrt(V3 / N), the standard error
+given the per-class tested counts, it covered 0.8345 and 0.8410.
 """
 
 import math
@@ -25,27 +29,33 @@ import numpy as np
 import pytest
 
 from prevbias import (
-    BoundaryEstimate,
     EmptySample,
     EmptyStratum,
     Mechanism,
     NegativeVarianceCombination,
     PopulationSpec,
     build_bundle,
-    ci_active_info,
-    ci_logit_prevalence,
     corrected_prevalence_limit,
     enumerate_outcomes,
     population_prevalence,
-    sigma_it,
-    sigma_p0,
 )
 from prevbias import testing_prevalence as prevalence_among_tested
 
-from conftest import BASE_RHO, EXACT_LAW_SUMS, PI_MAR, PI_MNAR, exact_count_tables, exact_law
+from conftest import (
+    BASE_RHO,
+    EXACT_LAW_SUMS,
+    PI_MAR,
+    PI_MCAR,
+    PI_MNAR,
+    exact_count_tables,
+    exact_law,
+    information_interval,
+    prevalence_interval,
+)
 
 MAR = Mechanism.mar(("0.8", "0.2"))
 SMALL = {
+    "mcar_n20": (PopulationSpec(20, BASE_RHO, PI_MCAR), Mechanism.mcar()),
     "mar_n20": (PopulationSpec(20, BASE_RHO, PI_MAR), MAR),
     "mnar_n20": (PopulationSpec(20, BASE_RHO, PI_MNAR), MAR),  # p_bar0 != p0
     "mar_s3_n12": (
@@ -57,7 +67,9 @@ SMALL = {
 
 def _one_shot_law(spec, mechanism, alpha):
     """What `exact_law` returns, from `enumerate_outcomes` and the one-shot path."""
-    p0, p_bar0 = population_prevalence(spec), corrected_prevalence_limit(spec, mechanism.rho_s)
+    mcar = mechanism.kind == "mcar"
+    p0 = population_prevalence(spec)
+    p_bar0 = corrected_prevalence_limit(spec, None if mcar else mechanism.rho_s)
     i_true = math.log(prevalence_among_tested(spec) / p0)
     sums = dict.fromkeys(EXACT_LAW_SUMS, 0.0)
     for outcome, prob in enumerate_outcomes(spec):
@@ -70,18 +82,14 @@ def _one_shot_law(spec, mechanism, alpha):
         sums["kept"] += prob
         sums["p0_hat"] += prob * p0_h
         sums["p0_hat_sq"] += prob * p0_h * p0_h
+        _, lo, hi, _ = prevalence_interval(p0_h, v, spec.n, mcar, alpha)  # NaN on the boundary
+        sums["cover_p0"] += prob * (lo <= p0 <= hi)
+        sums["cover_p_bar0"] += prob * (lo <= p_bar0 <= hi)
         try:
-            ci = ci_logit_prevalence(p0_h, sigma_p0(v, spec.n), alpha)
-            sums["cover_p0"] += prob * ci.contains(p0)
-            sums["cover_p_bar0"] += prob * ci.contains(p_bar0)
-        except BoundaryEstimate:
+            _, lo, hi, _ = information_interval(bundle.i_t_hat, p_h, p0_h, v, spec.n, mcar, alpha)
+            sums["cover_i_t"] += prob * (lo <= i_true <= hi)
+        except NegativeVarianceCombination:
             pass
-        if 0.0 < p_h < 1.0 and 0.0 < p0_h < 1.0:
-            try:
-                ci = ci_active_info(bundle.i_t_hat, sigma_it(v, p_h, p0_h, spec.n), alpha)
-                sums["cover_i_t"] += prob * ci.contains(i_true)
-            except NegativeVarianceCombination:
-                pass
     kept = sums["kept"]
     mean = sums["p0_hat"] / kept
     return {
@@ -120,4 +128,14 @@ def test_bundled_mar_shape_undercovers_exactly(n, kept, cover_p0, cover_i_t):
     assert law["cover_p0"] == pytest.approx(cover_p0, abs=1e-4)
     assert law["cover_p_bar0"] == law["cover_p0"]  # known shares: p_bar0 = p0
     assert law["cover_i_t"] == pytest.approx(cover_i_t, abs=1e-4)
+    assert law["mean_p0_hat"] == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, cover_p0", [(100, 0.9505), (200, 0.9512)])
+def test_bundled_mcar_shape_covers_at_nominal_exactly(n, cover_p0):
+    law = exact_law(PopulationSpec(n, BASE_RHO, PI_MCAR), Mechanism.mcar(), alpha=0.05)
+    assert law["total"] == pytest.approx(1.0, abs=1e-12)
+    assert law["kept"] == pytest.approx(1.0, abs=1e-12)
+    assert law["cover_p0"] == pytest.approx(cover_p0, abs=1e-4)
+    assert law["cover_p_bar0"] == law["cover_p0"]  # uniform testing: p_bar0 = p0
     assert law["mean_p0_hat"] == pytest.approx(0.2, abs=1e-12)

@@ -37,12 +37,11 @@ from prevbias import (
     ScenarioConfig,
     build_bundle,
     run_experiment,
-    sigma_p0,
 )
 from prevbias.cli import main
 from prevbias.sampler import TestingOutcome as Outcome
 
-from conftest import generated_count_tables
+from conftest import generated_count_tables, prevalence_interval
 
 TABLES = 1000
 BOUNDARY = {key: f"{key} undefined: estimate on the boundary" for key in ("ci_p", "ci_p0")}
@@ -171,8 +170,9 @@ def test_a_subnormal_share_of_a_tested_class_raises_in_the_engine_as_in_sigma_p0
     with pytest.raises(InvalidSpec):
         _subnormal_scenario(rho, mechanism, (n,))
     outcome = Outcome(counts=[[1, 0], [20, 30]], n=n)
+    bundle = build_bundle(outcome, mechanism)
     with pytest.raises(NegativeVarianceCombination, match=r"V3 / N = nan is not finite"):
-        sigma_p0(build_bundle(outcome, mechanism).variances, n)
+        prevalence_interval(bundle.p0_hat, bundle.variances, n, False, 0.05)
 
 
 @pytest.mark.parametrize(

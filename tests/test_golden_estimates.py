@@ -66,7 +66,9 @@ TABLES = {
     },
 }
 
-# Recorded before `Mechanism` became the one place that picks the share vector.
+# Recorded before `Mechanism` became the one place that picks the share vector;
+# `mcar_s2` and `mcar_s3` re-recorded when the mcar `ci_p0` took the standard
+# error of `p_hat`, the estimate it brackets, and `ci_i_t` became [0, 0].
 GOLDEN = {
     'mar_alpha_1e-20': '9c9b5e60a0c5176fcbe30cddf158fd329297379852ebb1332d380beb7148f5a1',
     'mar_alpha_one': '27b1ce3c79c855966ae6b1a758b4fd6c61663b22c5fb1ee8bbe27be5dc12f31a',
@@ -81,8 +83,8 @@ GOLDEN = {
     'maxent_closed_form_s3': 'b64494604ff17d960c4f29219f72ac0cda86ccf64c3628a8a3d491a6163dcee6',
     'maxent_closed_form_zero_positives': 'c2f321fa2ecaef8d58fbdc08902b70ceb6282db6955204d08482bc8279391f14',
     'mcar_empty_class': 'be2d2333fd0b4e5615959a3029268ba74317aefcbe25211e530438cbd22d8e1d',
-    'mcar_s2': '3e8f55dd0906112025a14495e2149d563722069b73cb0b45b74b7475f95f0aa4',
-    'mcar_s3': 'baadd1e00e078774ffa2ad8004f6187a44127d497c05e62b4c0efdb2c3e4b4b6',
+    'mcar_s2': '34f305ddb58a359e13c65066787c2df5305fd8a0e35ce05de956c01981326d95',
+    'mcar_s3': 'bc2f4e5850578e159b18829602f34503b678a0c06ba54ae3c5cfd3c27e0bd52a',
 }
 
 

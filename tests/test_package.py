@@ -25,21 +25,24 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # gives), and less the four scalar wrappers around the class-sum kernel
 # (`share_weighted_p0`, `p0_hat_mar`, `mechanism_plugin_inputs` and
 # `plugin_variances`), whose estimate and variances `build_bundle` takes from
-# one kernel pass
+# one kernel pass, and less the interval helpers that only tests called once
+# `prevbias estimate` ran the interval kernels (`sigma_p`, `sigma_p0`,
+# `ci_logit_prevalence`, `ci_active_info`, their `ConfidenceInterval` and
+# `BoundaryEstimate`, the error of a boundary estimate)
 EXPORTS = [
-    "AsymptoticQuantities", "BoundaryEstimate", "ConfidenceInterval", "EmptyRegion",
+    "AsymptoticQuantities", "EmptyRegion",
     "EmptySample", "EmptyStratum", "EstimateBundle", "ExperimentReport",
     "InvalidSpec", "Mechanism", "MechanismMismatch", "NegativeVarianceCombination",
     "PopulationSpec", "PrevBiasError", "ReportRow", "RngStream", "ScenarioConfig", "SimplexSlab",
     "TestingOutcome", "TooLarge", "UndefinedActiveInfo", "VarianceEstimates", "ZeroTestingMass",
     "active_info_estimates", "active_info_testing", "asymptotics", "build_bundle",
-    "ci_active_info", "ci_logit_prevalence", "corrected_prevalence_limit",
+    "corrected_prevalence_limit",
     "coverage_scenario", "covid_shares", "draw_outcome", "enumerate_outcomes", "errors",
     "estimators", "exact_quantities", "experiments",
     "mar_scenario", "maxent", "mcar_scenario", "mean_shares",
     "mnar_scenario", "model", "normal_quantile",
     "p_hat", "population", "population_prevalence", "rng", "run_experiment", "sampler",
-    "scenarios", "sigma_it", "sigma_p", "sigma_p0", "testing_prevalence",
+    "scenarios", "sigma_it", "testing_prevalence",
 ]
 
 # one count table per share-vector branch
@@ -130,7 +133,8 @@ def test_readme_quickstart_runs_and_prints_what_its_comments_say(capsys):
     assert lines[0] == "0.2"
     assert lines[1].startswith("0.538")
     assert round(float(lines[2]), 4) == 0.9904
-    assert lines[3].startswith("ConfidenceInterval(")
+    i_t_hat, sigma = map(float, lines[3].split())
+    assert 0.8 < i_t_hat < 1.2 and 0.0 < sigma < 0.05
     assert lines[4] == "(0.8, 0.2)"
     assert re.fullmatch(r"\(0\.\d+, 0\.\d+\)", lines[5])
     assert [line.split()[0] for line in lines[6:]] == ["1000", "10000", "100000", "1000000"]

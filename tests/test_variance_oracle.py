@@ -21,18 +21,14 @@ import numpy as np
 import pytest
 
 from prevbias import (
-    BoundaryEstimate,
     Mechanism,
     PrevBiasError,
     TestingOutcome as Outcome,
     build_bundle,
-    ci_logit_prevalence,
     normal_quantile,
-    sigma_p,
-    sigma_p0,
 )
 
-from conftest import oracle_plugin_inputs, oracle_plugin_variances
+from conftest import oracle_plugin_inputs, oracle_plugin_variances, prevalence_interval
 
 TABLES = 60  # per mechanism and class count
 ALPHAS = (0.05, 1.0, 1e-20)
@@ -83,16 +79,14 @@ def _evaluate(outcome, mech, alpha, variances):
     try:
         bundle = build_bundle(outcome, mech)
         v = variances(outcome, mech, bundle)
-        sigmas = (sigma_p(v, outcome.n), sigma_p0(v, outcome.n))
+        # sigma_p from V1 + V2, sigma_p0 from V3 under mcar too
+        pairs = ((bundle.p_hat, True), (bundle.p0_hat, False))
+        intervals = [prevalence_interval(est, v, outcome.n, from_v12, alpha) for est, from_v12 in pairs]
     except PrevBiasError as exc:
         return type(exc)
-    values = [v.v1, v.v2, v.v3, v.v4, float(v.degenerate), *sigmas]
-    for est, sigma in zip((bundle.p_hat, bundle.p0_hat), sigmas):
-        try:
-            ci = ci_logit_prevalence(est, sigma, alpha)
-            values += [ci.lo, ci.hi]
-        except BoundaryEstimate:
-            values += [math.nan, math.nan]
+    values = [v.v1, v.v2, v.v3, v.v4, float(v.degenerate), *(sigma for sigma, *_ in intervals)]
+    for _, lo, hi, _ in intervals:
+        values += [lo, hi]
     return values
 
 
