@@ -24,9 +24,7 @@ _EXPORTS = {
         "MechanismMismatch", "NegativeVarianceCombination", "PrevBiasError", "TooLarge",
         "UndefinedActiveInfo", "ZeroTestingMass",
     ),
-    "estimators": (
-        "EstimateBundle", "active_info_estimates", "build_bundle", "p_hat",
-    ),
+    "estimators": ("EstimateBundle", "build_bundle", "p_hat"),
     "experiments": ("ExperimentReport", "ReportRow", "ScenarioConfig", "run_experiment"),
     "maxent": ("SimplexSlab", "covid_shares", "mean_shares"),
     "model": ("Mechanism",),

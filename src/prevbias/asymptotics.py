@@ -83,26 +83,40 @@ def _class_sums(w, w_den, pi, rate, mass) -> tuple:
     return p0, v1, v2, v3, v4
 
 
-def _plugin_sums(n, n_t, n_ts, positives, shares, mcar, where) -> tuple:
-    """``(p0, v1, v2, v3, v4, degenerate)``: :func:`_class_sums` at the
-    estimated testing probabilities, from the population size ``n``, the
-    tested total ``n_t`` and, per class, the tested count, the positives and
-    the share, which is weight and share alike.  The testing probability is
-    ``N_T / N`` under ``mcar``, else ``N_Ts / (N * share)``.  A class with a
-    zero share or no tested individual is inactive, ``(0, 1, 1, 0, 0)``;
-    ``degenerate`` flags an active class with a positive rate of 0 or 1.
-    Python numbers with ``where`` :func:`_choose`, or numpy columns with
-    ``np.where``, give the same bits; ``where`` picks each denominator
-    first, so floats never divide by zero."""
-    columns, degenerate = [], False
+def _plugin_sums(n, n_t, n_ts, positives, shares, p_hat, mcar, where) -> tuple:
+    """``(kept, untested, p0_hat, ratio, defined, v, degenerate)`` of a count
+    table, from ``n``, ``n_t``, the biased estimate ``p_hat`` and, per class,
+    the tested count, the positives and the share (weight and share alike):
+    the one place for the rules both paths share.  ``kept``: the sample is
+    not empty and no class of positive share went untested (``untested``
+    flags each).  ``p0_hat`` is ``p_hat`` under ``mcar``, else the ``p0`` of
+    :func:`_class_sums` (``v`` is its V1..V4) at the testing probabilities
+    ``N_T / N`` under ``mcar``, else ``N_Ts / (N * share)``.  ``defined``:
+    ``p_hat > 0``, ``p0_hat > 0`` and ``ratio = p_hat / p0_hat < inf``, where
+    ``ratio`` is inf only if that last rule fails.  A class with a zero
+    share or no tested individual is inactive, ``(0, 1, 1, 0, 0)``;
+    ``degenerate`` flags an active class with a rate of 0 or 1.  A table
+    that is not kept has a NaN ``p0_hat`` and no flag set.  Python numbers
+    with ``where`` :func:`_choose`, or numpy columns with ``np.where``, give
+    the same bits: ``where`` picks each denominator first, and one table that
+    is not kept returns before the class sums, so floats never divide by zero."""
+    columns, untested, degenerate = [], [], False
     for tested, k, u in zip(n_ts, positives, shares):
         on = (u > 0.0) & (tested > 0)
+        untested.append((u > 0.0) & (tested == 0))
         w, w_den = where(on, u, 0.0), where(on, u, 1.0)
         pi = where(on, n_t / n if mcar else tested / (n * w_den), 1.0)
         rate = where(on, k, 0) / where(on, tested, 1)
         degenerate = degenerate | (on & ((rate == 0.0) | (rate == 1.0)))
         columns.append((w, w_den, pi, rate, w * pi))
-    return (*_class_sums(*zip(*columns)), degenerate)
+    kept = (n_t > 0) & (sum(untested) == 0)
+    if kept is False:
+        return kept, untested, math.nan, math.nan, False, (math.nan,) * 4, False
+    p0, *v = _class_sums(*zip(*columns))
+    p0 = where(kept, p_hat if mcar else p0, math.nan)
+    positive = (p_hat > 0.0) & (p0 > 0.0)
+    ratio = p_hat / where(positive, p0, 1.0)
+    return kept, untested, p0, ratio, positive & (ratio < math.inf), v, kept & degenerate
 
 
 def _choose(condition: bool, a: float, b: float) -> float:
@@ -127,14 +141,13 @@ def _logit_endpoints(est, half_width, log, exp, where) -> tuple:
     return where(zero | (est < lo), est, lo), where(zero | (est > hi), est, hi)
 
 
-
-
 def _refuse(bad, value, n, name, sep, negative) -> None:
     """Raise :class:`NegativeVarianceCombination` if ``bad`` flags the
-    variance ``name``, ``value``: negative (``negative`` holds the kind and
-    its cause, or None), NaN or infinite.  On one float the message reads
-    ``{name}{sep}{value!r} is ...``; on a column it counts the flagged
-    replicates and names the first."""
+    variance ``name``, ``value``: negative (``negative`` names the kind,
+    and the cause is a class tested beyond N times its share), NaN or
+    infinite.  On one float the message reads ``{name}{sep}{value!r} is
+    ...``; on a column it counts the flagged replicates and names the
+    first."""
     if isinstance(bad, bool):
         if not bad:
             return
@@ -145,8 +158,8 @@ def _refuse(bad, value, n, name, sep, negative) -> None:
         first = int(bad.argmax())
         head, at = name, value[first]
         tail = f" in {int(bad.sum())} of {bad.size} replicates at N = {n} (first: replicate {first})"
-    kind, cause = negative if at < 0.0 else ("not finite", _EXTREME_CAUSE)
-    raise NegativeVarianceCombination(f"{head} is {kind}{tail}" + (f"; {cause}" if cause else ""))
+    kind, cause = (negative, _NEGATIVE_CAUSE) if at < 0.0 else ("not finite", _EXTREME_CAUSE)
+    raise NegativeVarianceCombination(f"{head} is {kind}{tail}; {cause}")
 
 
 def _prevalence_interval(est, v, n, mcar, lam, log, exp, sqrt, where) -> tuple:
@@ -167,7 +180,7 @@ def _prevalence_interval(est, v, n, mcar, lam, log, exp, sqrt, where) -> tuple:
     name = "(V1 + V2) / N" if mcar else "V3 / N"
     var = (v[0] + v[1] if mcar else v[2]) / n
     kept = est == est
-    _refuse(kept & where(var < math.inf, var < 0.0, True), var, n, name, " = ", ("negative", _NEGATIVE_CAUSE))
+    _refuse(kept & where(var < math.inf, var < 0.0, True), var, n, name, " = ", "negative")
     sigma = sqrt(where(kept, var, math.nan))
     interior = (0.0 < est) & (est < 1.0)
     e = where(interior, est, 0.5)
@@ -198,7 +211,7 @@ def _information_interval(i_hat, p, p0, v, n, mcar, lam, sqrt, where) -> tuple:
         except ZeroDivisionError:  # floats only: columns give inf or NaN
             bracket = math.inf
     bad = defined & where(bracket < math.inf, bracket < -_CLIP_TOL, True)
-    _refuse(bad, bracket, n, "variance combination", " ", ("negative beyond tolerance", None))
+    _refuse(bad, bracket, n, "variance combination", " ", "negative beyond tolerance")
     sigma = sqrt(where(defined, where(bracket < 0.0, 0.0, bracket), math.nan) / n)
     return sigma, i_hat - lam * sigma, i_hat + lam * sigma, where(defined, False, True)
 

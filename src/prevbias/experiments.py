@@ -13,11 +13,11 @@ are byte-stable for a given configuration.
 The engine works on one grid position at a time.  It draws every replicate's
 counts, then computes the estimates, standard errors and intervals of all
 replicates at once (:func:`replicate_columns`) on numpy columns, through the
-plug-in stage ``_plugin_sums`` and the prevalence-interval kernel
-``_prevalence_interval`` that ``prevbias estimate`` calls on Python floats;
-only ``math.log`` and ``math.exp`` run entry by entry.  It forms no
-information interval, which no table reports, but keeps the V1..V4 columns
-that one needs.
+plug-in stage ``_plugin_sums``, which decides the kept replicates, ``p0_hat``
+and where the information is defined, and the prevalence-interval kernel
+``_prevalence_interval``, both of which ``prevbias estimate`` calls on Python
+floats; only ``math.log`` and ``math.exp`` run entry by entry.  It forms no
+information interval, which no table reports, but keeps its V1..V4 columns.
 
 Aggregation of the information tables averages the probability estimates
 across replicates first and takes logarithms of the means.  When the
@@ -162,8 +162,8 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
     replicate in an ``(R, S, 2)`` counts array at once, weighted as
     :meth:`Mechanism.shares` weights: by each replicate's sample fractions
     under mcar, else by the fixed ``rho_s`` of a mechanism that has passed
-    :meth:`Mechanism.check_against`.  Those shares and ``ok`` are formed
-    here; the rest is the plug-in stage's.
+    :meth:`Mechanism.check_against`.  Those shares are formed here; the
+    rest, which replicates are kept and ``it_defined`` too, is the stage's.
 
     Bit for bit what :func:`build_bundle` and the prevalence-interval kernel
     ``_prevalence_interval`` give replicate by replicate on floats, as
@@ -187,24 +187,24 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
         p_h = positives.sum(axis=1) / n_t
         # one row per replicate: its sample fractions under mcar, else the fixed shares
         shares = n_ts / n_t[:, None] if mcar else np.broadcast_to(mechanism.rho_s, n_ts.shape)
-        ok = (n_t > 0) & ~np.any((shares > 0.0) & (n_ts == 0), axis=1)
         # as build_bundle, on (S, R) columns
-        p0, *v, degenerate = _plugin_sums(n, n_t, n_ts.T, positives.T, shares.T, mcar, np.where)
-        p_h, p0_h = (np.where(ok, x, np.nan) for x in (p_h, p_h if mcar else p0))
+        ok, _, p0_h, _, it_defined, v, degenerate = _plugin_sums(
+            n, n_t, n_ts.T, positives.T, shares.T, p_h, mcar, np.where
+        )
         sigma, lo, hi, boundary = _prevalence_interval(
             p0_h, v, n, mcar, normal_quantile(alpha), _libm(math.log), _libm(math.exp), np.sqrt, np.where
         )
     return ReplicateColumns(
         ok=ok,
-        p_hat=p_h,
+        p_hat=np.where(ok, p_h, np.nan),
         p0_hat=p0_h,
         sigma_p0=sigma,
         lo=lo,
         hi=hi,
         hit=(lo <= p0_true) & (p0_true <= hi),
         boundary=boundary,
-        degenerate=ok & degenerate,
-        it_defined=ok & (p_h > 0.0) & (p0_h > 0.0),
+        degenerate=degenerate,
+        it_defined=it_defined,
         variances=tuple(v),
     )
 

@@ -234,7 +234,7 @@ class TestSigmaIT:
         v = (np.zeros(4), np.zeros(4), np.zeros(4), np.array([0.0, 1.0, 1.0, 1.0]))
         expected = (
             r"^variance combination is negative beyond tolerance in 2 of 4 replicates at N = 100 "
-            r"\(first: replicate 1\)$"
+            r"\(first: replicate 1\); a symptom class was tested beyond N times its share$"
         )
         with pytest.raises(NegativeVarianceCombination, match=expected):
             with np.errstate(divide="ignore", invalid="ignore"):

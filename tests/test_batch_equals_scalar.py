@@ -8,7 +8,10 @@ to the last bit (NaNs compare equal) on random count arrays for S = 2..5 and
 9 classes, under mcar, mar and bounded maxent, with empty samples, empty
 weighted classes, zero and all positives, class rates of 0 or 1,
 infection-dependent testing probabilities, zero-share classes and zero-width
-intervals mixed in.
+intervals mixed in.  One bounded-maxent mechanism pins a class at the share
+1e-310, so that where only that class has positives ``p0_hat`` is about
+1e-310 and ``p_hat / p0_hat`` overflows: the information is undefined there
+on both paths.
 """
 
 import math
@@ -41,6 +44,8 @@ KINDS = ("mcar", "mar", "maxent")
 # clamped inside (0, 1)), 1 - 2^-52 half-widths of an ulp or so (endpoints
 # clamped to the estimate)
 ALPHAS = (0.05, 1.0, 1e-20, 1.0 - 2.0**-52, 0.1, 0.05)
+TINY_CASE = 5  # under maxent, the case whose mechanism pins a class at TINY_SHARE
+TINY_SHARE = 1e-310
 
 
 def scalar_replicate(counts, n_si, mechanism, p0_true, alpha) -> dict:
@@ -55,7 +60,7 @@ def scalar_replicate(counts, n_si, mechanism, p0_true, alpha) -> dict:
     hit = lo <= p0_true <= hi
     return dict(
         ok=True, p_hat=p_h, p0_hat=p0_h, sigma_p0=s_p0, lo=lo, hi=hi, hit=hit,
-        boundary=boundary, degenerate=v.degenerate, it_defined=p_h > 0.0 and p0_h > 0.0,
+        boundary=boundary, degenerate=v.degenerate, it_defined=math.isfinite(bundle.i_t_hat),
     )
 
 
@@ -106,14 +111,37 @@ def _counts(s_count: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return n_si, counts
 
 
+def _pinned_case(s_count: int, rng):
+    """Bounded maxent that pins a class at TINY_SHARE, and count tables in
+    which that class holds one infected person among N > 100, so that
+    ``N_Ts / (N * 1e-310)`` stays finite.  Rows 90-119 test that person and 1
+    to 5 healthy people in each other class: every class rate is 0 or 1,
+    ``p0_hat`` is 1e-310 and ``p_hat`` at least 1/41, so ``p_hat / p0_hat``
+    overflows."""
+    pinned = int(rng.integers(s_count))
+    lower, upper = [0.0] * s_count, [1.0] * s_count
+    lower[pinned] = upper[pinned] = TINY_SHARE
+    n_si, counts = _counts(s_count, rng)
+    n_si[:, 0] += 100
+    n_si[pinned] = (0, 1)
+    counts[:, pinned] = np.minimum(counts[:, pinned], n_si[pinned])
+    counts[90:120] = 0
+    counts[90:120, pinned, 1] = 1
+    counts[90:120, np.arange(s_count) != pinned, 0] = rng.integers(1, 6, size=(30, s_count - 1))
+    return Mechanism.maxent(lower, upper), n_si, counts
+
+
 @pytest.mark.parametrize("s_count", [2, 3, 4, 5, 9])
 @pytest.mark.parametrize("kind", KINDS)
 def test_columns_equal_the_scalar_path_bitwise(kind, s_count):
     rng = np.random.default_rng([s_count, KINDS.index(kind)])
-    seen = dict.fromkeys(("kept", "discarded", "boundary", "degenerate", "zero_width", "raised"), 0)
+    seen = dict.fromkeys(("kept", "discarded", "boundary", "degenerate", "zero_width", "raised", "overflow"), 0)
     for case in range(6):
-        mech = _mechanism(kind, s_count, rng)
-        n_si, counts = _counts(s_count, rng)
+        if kind == "maxent" and case == TINY_CASE:
+            mech, n_si, counts = _pinned_case(s_count, rng)
+        else:
+            mech = _mechanism(kind, s_count, rng)
+            n_si, counts = _counts(s_count, rng)
         alpha = ALPHAS[case]
         p0_true = float(rng.uniform(0.05, 0.5))
         scalar, raised = [], []
@@ -139,8 +167,11 @@ def test_columns_equal_the_scalar_path_bitwise(kind, s_count):
         seen["degenerate"] += int(cols.degenerate.sum())
         seen["zero_width"] += int(np.sum(cols.ok & ~cols.boundary & (cols.lo == cols.hi)))
         seen["raised"] += len(raised)
+        seen["overflow"] += int(np.sum(~cols.it_defined & (cols.p_hat > 0.0) & (cols.p0_hat > 0.0)))
     for branch in ("kept", "discarded", "boundary", "degenerate", "zero_width"):
         assert seen[branch] > 0, f"no {branch} replicates in {seen}"
+    if kind == "maxent":
+        assert seen["overflow"] > 0, f"no overflowing p_hat / p0_hat in {seen}"
 
 
 def test_counts_outside_their_strata_are_rejected():

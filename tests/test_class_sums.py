@@ -90,12 +90,16 @@ def _tables(kind: str, s_count: int):
 
 def _scalar(outcome, mech) -> list[float]:
     """p0, V1..V4 of one table through the one-shot path.  Under mcar the
-    reply's p0_hat is p_hat, so the kernel's p0 is read from `_plugin_sums`."""
+    reply's p0_hat is p_hat, so the kernel's p0 is read from `_plugin_sums`
+    at the same shares without the mcar flag, which changes the testing
+    probabilities but not the class weights and rates that p0 sums."""
     bundle = build_bundle(outcome, mech)
     p0 = bundle.p0_hat
     if mech.kind == "mcar":
         positives = [row[1] for row in outcome.counts]
-        p0 = _plugin_sums(outcome.n, outcome.n_t, outcome.n_ts, positives, bundle.rho_hat, True, _choose)[0]
+        p0 = _plugin_sums(
+            outcome.n, outcome.n_t, outcome.n_ts, positives, bundle.rho_hat, bundle.p_hat, False, _choose
+        )[2]
     return [p0, *bundle.variances[:4]]
 
 

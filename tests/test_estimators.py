@@ -13,8 +13,6 @@ from prevbias import (
     PopulationSpec,
     RngStream,
     TestingOutcome as Outcome,
-    UndefinedActiveInfo,
-    active_info_estimates,
     build_bundle,
     covid_shares,
     draw_outcome,
@@ -127,38 +125,58 @@ class TestBoundedShareCorrection:
             build_bundle(out, Mechanism.maxent())
 
 
+UNDEFINED = "active information undefined: "
+
+
 class TestActiveInfoEstimates:
+    """The information estimates ``i_t_hat`` and ``i_c_hat`` of
+    `build_bundle`, whose plug-in stage decides where ``log(p_hat / p0_hat)``
+    is defined."""
+
     def test_equal_estimates_give_zero(self):
-        assert active_info_estimates(0.3, 0.3) == (0.0, -0.0)
+        # under mcar p0_hat is p_hat
+        bundle = build_bundle(REFERENCE_COUNTS, Mechanism.mcar())
+        assert (bundle.i_t_hat, bundle.i_c_hat, bundle.warnings) == (0.0, -0.0, ())
+        assert math.copysign(1.0, bundle.i_c_hat) == -1.0
 
     def test_reference_value(self):
-        i_t, i_c = active_info_estimates(0.538462, 0.2)
-        assert i_t == pytest.approx(math.log(0.538462 / 0.2), abs=1e-15)
-        assert i_t == pytest.approx(0.99040, abs=5e-6)
-        assert i_c == -i_t
+        # the expected counts of the base population at N = 1000 under PI_MAR
+        bundle = build_bundle(Outcome(counts=[[75, 5], [45, 135]], n=1000), Mechanism.mar(("0.8", "0.2")))
+        assert bundle.i_t_hat == pytest.approx(math.log(0.538462 / 0.2), abs=1e-6)
+        assert bundle.i_t_hat == pytest.approx(0.99040, abs=5e-6)
+        assert bundle.i_c_hat == -bundle.i_t_hat
 
     def test_status_dependent_expectation_level_values(self):
-        i_t, i_c = active_info_estimates(float(MNAR_P), float(MNAR_CORRECTED_LIMIT))
-        assert i_t == pytest.approx(0.617269, abs=5e-7)
-        assert i_c == -i_t
+        # the expected counts under PI_MNAR: p_hat = 27/64, p0_hat = 776/3410
+        bundle = build_bundle(Outcome(counts=[[150, 15], [35, 120]], n=1000), Mechanism.mar(("0.8", "0.2")))
+        assert bundle.p_hat == float(MNAR_P)
+        assert bundle.p0_hat == pytest.approx(float(MNAR_CORRECTED_LIMIT), abs=1e-15)
+        assert bundle.i_t_hat == pytest.approx(0.617269, abs=5e-7)
+        assert bundle.i_c_hat == -bundle.i_t_hat
 
     def test_zero_inputs_undefined(self):
-        with pytest.raises(UndefinedActiveInfo):
-            active_info_estimates(0.0, 0.2)
-        with pytest.raises(UndefinedActiveInfo):
-            active_info_estimates(0.2, 0.0)
+        for counts, mechanism in (
+            ([[7, 0], [3, 0]], Mechanism.mcar()),  # p_hat = p0_hat = 0
+            ([[10, 0], [0, 5]], Mechanism.mar((1.0, 0.0))),  # p0_hat = 0 < p_hat
+        ):
+            bundle = build_bundle(Outcome(counts=counts, n=100), mechanism)
+            assert math.isnan(bundle.i_t_hat) and math.isnan(bundle.i_c_hat)
+            assert bundle.warnings == (UNDEFINED + "a prevalence estimate is zero",)
 
     def test_an_overflowing_ratio_is_undefined(self):
-        # a subnormal p0_hat: the ratio is inf, whose log would be inf
-        with pytest.raises(UndefinedActiveInfo, match="overflows"):
-            active_info_estimates(0.5, 5e-324)
+        # a subnormal share: p0_hat = 5e-324, so the ratio is inf, whose log would be inf
+        bundle = build_bundle(Outcome(counts=[[140, 0], [36, 123]], n=369), Mechanism.mar([1.0, 5e-324]))
+        assert bundle.p0_hat == 5e-324
+        assert math.isnan(bundle.i_t_hat) and math.isnan(bundle.i_c_hat)
+        assert bundle.warnings == (UNDEFINED + "p_hat / p0_hat = 0.411371237458194 / 5e-324 overflows",)
 
     def test_decomposition_cancels_exactly_fuzzed(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
-            a, b = rng.uniform(1e-6, 1.0, size=2)
-            i_t, i_c = active_info_estimates(a, b)
-            assert i_t + i_c == 0.0
+            counts = rng.integers(1, 40, size=(2, 2))
+            shares = rng.dirichlet(np.ones(2)).tolist()
+            bundle = build_bundle(Outcome(counts=counts, n=int(counts.sum())), Mechanism.mar(shares))
+            assert bundle.i_t_hat + bundle.i_c_hat == 0.0
 
 
 class TestBundle:

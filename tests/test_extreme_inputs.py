@@ -39,6 +39,8 @@ from prevbias import (
     run_experiment,
 )
 from prevbias.cli import main
+from prevbias.config import load_scenario
+from prevbias.experiments import _draw_counts
 from prevbias.sampler import TestingOutcome as Outcome
 
 from conftest import generated_count_tables, prevalence_interval
@@ -197,6 +199,29 @@ def test_a_subnormal_share_of_a_tested_class_exits_2_from_run_and_writes_nothing
     assert (code, captured.out) == (2, "")
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert list(tmp_path.iterdir()) == [config]
+
+
+# a class of one infected person, always tested, pinned at the share 1e-310:
+# where nobody of the other class tests positive, p0_hat is 1e-310 and
+# p_hat / p0_hat overflows
+PINNED_SHARE_RUN = {
+    "label": "pinned", "seed": 3, "replicates": 200, "alpha": 0.05, "n_grid": [100],
+    "population": {"rho": [["0", "1/100"], ["98/100", "1/100"]], "pi": [[1, 1], [0.1, 0.1]]},
+    "mechanism": {"type": "maxent", "lower": [1e-310, 0], "upper": [1e-310, 1]},
+}
+
+
+def test_a_run_counts_as_undefined_the_information_that_the_estimate_leaves_null(tmp_path, capsys):
+    config = tmp_path / "pinned.json"
+    config.write_text(json.dumps(PINNED_SHARE_RUN))
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    capsys.readouterr()
+    (row,) = json.loads((tmp_path / "pinned_activeinfo.json").read_text())
+    cfg = load_scenario(str(config))[0]
+    (counts,) = _draw_counts(cfg)
+    bundles = [build_bundle(Outcome(counts=table, n=100), cfg.mechanism) for table in counts]
+    null = sum(math.isnan(bundle.i_t_hat) for bundle in bundles)
+    assert (row["kept"], row["undefined_active_info"], null) == (200, 183, 183)
 
 
 ALPHA_TABLE = {"N": 10_000, "counts": [[300, 30], [40, 60]], "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]}}

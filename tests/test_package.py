@@ -28,14 +28,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # one kernel pass, and less the interval helpers that only tests called once
 # `prevbias estimate` ran the interval kernels (`sigma_p`, `sigma_p0`,
 # `ci_logit_prevalence`, `ci_active_info`, their `ConfidenceInterval` and
-# `BoundaryEstimate`, the error of a boundary estimate)
+# `BoundaryEstimate`, the error of a boundary estimate), and less
+# `active_info_estimates`, the information estimate that `build_bundle`
+# gives as `i_t_hat`)
 EXPORTS = [
     "AsymptoticQuantities", "EmptyRegion",
     "EmptySample", "EmptyStratum", "EstimateBundle", "ExperimentReport",
     "InvalidSpec", "Mechanism", "MechanismMismatch", "NegativeVarianceCombination",
     "PopulationSpec", "PrevBiasError", "ReportRow", "RngStream", "ScenarioConfig", "SimplexSlab",
     "TestingOutcome", "TooLarge", "UndefinedActiveInfo", "VarianceEstimates", "ZeroTestingMass",
-    "active_info_estimates", "active_info_testing", "asymptotics", "build_bundle",
+    "active_info_testing", "asymptotics", "build_bundle",
     "corrected_prevalence_limit",
     "coverage_scenario", "covid_shares", "draw_outcome", "enumerate_outcomes", "errors",
     "estimators", "exact_quantities", "experiments",
