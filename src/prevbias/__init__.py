@@ -26,8 +26,8 @@ _EXPORTS = {
     ),
     "estimators": ("EstimateBundle", "build_bundle", "p_hat"),
     "experiments": ("ExperimentReport", "ReportRow", "ScenarioConfig", "run_experiment"),
-    "maxent": ("SimplexSlab", "covid_shares", "mean_shares"),
-    "model": ("Mechanism",),
+    "maxent": ("covid_shares", "mean_shares"),
+    "model": ("Mechanism", "SimplexSlab"),
     "population": (
         "AsymptoticQuantities", "PopulationSpec", "active_info_testing", "corrected_prevalence_limit",
         "exact_quantities", "population_prevalence", "testing_prevalence",

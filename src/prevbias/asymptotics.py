@@ -91,15 +91,15 @@ def _plugin_sums(n, n_t, n_ts, positives, shares, p_hat, mcar, where) -> tuple:
     not empty and no class of positive share went untested (``untested``
     flags each).  ``p0_hat`` is ``p_hat`` under ``mcar``, else the ``p0`` of
     :func:`_class_sums` (``v`` is its V1..V4) at the testing probabilities
-    ``N_T / N`` under ``mcar``, else ``N_Ts / (N * share)``.  ``defined``:
-    ``p_hat > 0``, ``p0_hat > 0`` and ``ratio = p_hat / p0_hat < inf``, where
-    ``ratio`` is inf only if that last rule fails.  A class with a zero
-    share or no tested individual is inactive, ``(0, 1, 1, 0, 0)``;
-    ``degenerate`` flags an active class with a rate of 0 or 1.  A table
-    that is not kept has a NaN ``p0_hat`` and no flag set.  Python numbers
-    with ``where`` :func:`_choose`, or numpy columns with ``np.where``, give
-    the same bits: ``where`` picks each denominator first, and one table that
-    is not kept returns before the class sums, so floats never divide by zero."""
+    ``N_T / N`` under ``mcar``, else ``N_Ts / (N * share)``.  ``ratio`` and
+    ``defined`` are :func:`_defined_ratio` of ``p_hat`` and ``p0_hat``.  A
+    class with a zero share or no tested individual is inactive,
+    ``(0, 1, 1, 0, 0)``; ``degenerate`` flags an active class with a rate of
+    0 or 1.  A table that is not kept has a NaN ``p0_hat`` and no flag set.
+    Python numbers with ``where`` :func:`_choose`, or numpy columns with
+    ``np.where``, give the same bits: ``where`` picks each denominator first,
+    and one table that is not kept returns before the class sums, so floats
+    never divide by zero."""
     columns, untested, degenerate = [], [], False
     for tested, k, u in zip(n_ts, positives, shares):
         on = (u > 0.0) & (tested > 0)
@@ -114,9 +114,17 @@ def _plugin_sums(n, n_t, n_ts, positives, shares, p_hat, mcar, where) -> tuple:
         return kept, untested, math.nan, math.nan, False, (math.nan,) * 4, False
     p0, *v = _class_sums(*zip(*columns))
     p0 = where(kept, p_hat if mcar else p0, math.nan)
-    positive = (p_hat > 0.0) & (p0 > 0.0)
-    ratio = p_hat / where(positive, p0, 1.0)
-    return kept, untested, p0, ratio, positive & (ratio < math.inf), v, kept & degenerate
+    return kept, untested, p0, *_defined_ratio(p_hat, p0, where), v, kept & degenerate
+
+
+def _defined_ratio(a, b, where) -> tuple:
+    """``(ratio, defined)``: ``defined`` means ``a > 0``, ``b > 0`` and
+    ``ratio = a / b < inf``, the rule for an information ``log(a / b)``.
+    ``ratio`` divides by ``where(positive, b, 1)``, so it is inf only if that
+    last rule fails, and floats never divide by zero."""
+    positive = (a > 0.0) & (b > 0.0)
+    ratio = a / where(positive, b, 1.0)
+    return ratio, positive & (ratio < math.inf)
 
 
 def _choose(condition: bool, a: float, b: float) -> float:

@@ -26,6 +26,12 @@ subpopulation-size checks are exact at every grid size.  That holds for
 ``[0, 2**64)``.  ``label`` names the report files and must be a plain
 file-name stem: no ``/`` or ``\\``, and not ``.`` or ``..``.
 
+The Python constructors read their numbers by the same rule
+(:func:`prevbias.model._coerce_cell`): ``PopulationSpec``, ``Mechanism``,
+``SimplexSlab``, ``ScenarioConfig``, the weights of
+``corrected_prevalence_limit`` and ``RngStream``, whose seed and stream id
+are whole numbers like ``seed``.  A bool is refused everywhere.
+
 A count-table document for one-shot estimation looks like::
 
     {

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import _plugin_sums, _prevalence_interval, normal_quantile
+from .asymptotics import _choose, _defined_ratio, _plugin_sums, _prevalence_interval, normal_quantile
 from .errors import InvalidSpec
 from .model import MCAR, Mechanism, _cells, _coerce_alpha, _coerce_matrix, _coerce_whole
 from .population import PopulationSpec, population_prevalence
@@ -210,9 +210,10 @@ def replicate_columns(counts, n_si, mechanism: Mechanism, p0_true: float, alpha:
 
 
 def _log_ratio(numerator: float, denominator: float) -> float:
-    if numerator > 0.0 and denominator > 0.0:
-        return math.log(numerator / denominator)
-    return math.nan
+    """``log(numerator / denominator)`` where the plug-in stage's rule
+    defines it, else NaN."""
+    ratio, defined = _defined_ratio(numerator, denominator, _choose)
+    return math.log(ratio) if defined else math.nan
 
 
 def run_experiment(cfg: ScenarioConfig) -> ExperimentReport:

@@ -3,7 +3,9 @@
 When the class shares are only known to satisfy ``lower_s <= rho_s <=
 upper_s``, the share vector is modelled as uniformly distributed on the
 feasible region (the simplex cut by those box bounds), and the corrected
-estimator uses its mean, which :func:`mean_shares` computes exactly.
+estimator uses its mean, which :func:`mean_shares` computes exactly.  The
+region is a :class:`prevbias.model.SimplexSlab`, whose bounds the number
+parser of :mod:`prevbias.model` reads; this module only computes on them.
 
 For the two-class convenience-sampling model, where a symptomatic individual
 is at least as likely to be tested as an asymptomatic one, the data imply
@@ -16,9 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import EmptyRegion, InvalidSpec, TooLarge
+from .errors import InvalidSpec, TooLarge
 
-_SUM_TOL = 1e-12
 # mean_shares sums up to 2^k big-integer terms for k free classes; its slowest
 # bounds took 0.7 s at k = 13 and 1.6 s at k = 14 on a 2-core x86 host.
 MAX_FREE_CLASSES = 13
@@ -39,38 +40,9 @@ def ordered_sum(values) -> float:
     return total
 
 
-class SimplexSlab:
-    """The set of share vectors with ``lower_s <= rho_s <= upper_s`` summing to
-    1; the bounds are read into tuples of floats."""
-
-    __slots__ = ("lower", "upper")
-
-    def __init__(self, lower, upper):
-        try:
-            lower = tuple(map(float, lower))
-            upper = tuple(map(float, upper))
-        except (TypeError, ValueError):
-            lower = upper = ()
-        if len(lower) != len(upper) or not lower:
-            raise InvalidSpec("bounds must be two equal-length non-empty vectors")
-        if any(not 0.0 <= x <= 1.0 for x in lower + upper):  # NaN too
-            raise InvalidSpec("bounds must lie in [0, 1]")
-        if any(lo > hi for lo, hi in zip(lower, upper)):
-            raise InvalidSpec("each lower bound must not exceed its upper bound")
-        low_sum, high_sum = ordered_sum(lower), ordered_sum(upper)
-        if low_sum > 1.0 + _SUM_TOL or high_sum < 1.0 - _SUM_TOL:
-            raise EmptyRegion(
-                f"no share vector satisfies the bounds: sum(lower)={low_sum!r}, sum(upper)={high_sum!r}"
-            )
-        self.lower, self.upper = lower, upper
-
-    @property
-    def s(self) -> int:
-        return len(self.lower)
-
-
-def mean_shares(slab: SimplexSlab) -> tuple[float, ...]:
-    """Exact mean of the uniform distribution on the feasible share region.
+def mean_shares(slab) -> tuple[float, ...]:
+    """Exact mean of the uniform distribution on the feasible share region,
+    the :class:`prevbias.model.SimplexSlab` ``slab``.
 
     Inclusion-exclusion over the violated upper bounds: with ``t = 1 - sum(lower)``
     and ``w = upper - lower``, each subset J of the k classes with ``w > 0`` and

@@ -1,13 +1,16 @@
 """The number parser and the correction mechanisms.
 
 Every share, probability and size that a population, a mechanism, a
-scenario config or a count table holds is read by :func:`_coerce_cell`.  A
-:class:`Mechanism` picks the share vector that the corrected estimate
-weights by.  Both compute on Python numbers, so the one-shot estimate path
-loads no numpy.  The population ``(N, rho, pi)`` and its closed-form limits,
-which only the study engine and the tests use, live in
-:mod:`prevbias.population`; estimators computed from realised counts live in
-:mod:`prevbias.estimators`.
+share-bound region, a scenario config or a count table holds is read by
+:func:`_coerce_cell`, and so are the weights of
+:func:`prevbias.population.corrected_prevalence_limit` and the seed and
+stream id of :class:`prevbias.rng.RngStream`.  A :class:`Mechanism` picks
+the share vector that the corrected estimate weights by; under bounded
+maxent that is the mean of its :class:`SimplexSlab`.  Both compute on Python
+numbers, so the one-shot estimate path loads no numpy.  The population
+``(N, rho, pi)`` and its closed-form limits, which only the study engine and
+the tests use, live in :mod:`prevbias.population`; estimators computed from
+realised counts live in :mod:`prevbias.estimators`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from fractions import Fraction
 from numbers import Integral, Real
 
 from .asymptotics import normal_quantile
-from .errors import EmptySample, EmptyStratum, InvalidSpec
-from .maxent import SimplexSlab, covid_shares, mean_shares, ordered_sum
+from .errors import EmptyRegion, EmptySample, EmptyStratum, InvalidSpec
+from .maxent import covid_shares, mean_shares, ordered_sum
 
 SHARE_SUM_TOL = 1e-12
 _INT64_MAX = 2**63 - 1
@@ -32,8 +35,9 @@ _HUGE_EXPONENT = re.compile(r"e[-+]?[0_]*[1-9](_?\d){3}", re.IGNORECASE)
 
 def _coerce_cell(cell, where: str) -> Fraction:
     """One number as an exact Fraction: the parser behind every share,
-    probability and size that a population, :class:`Mechanism`,
-    the scenario config and the JSON inputs read.
+    probability, bound, weight, size and seed that a population,
+    :class:`Mechanism`, :class:`SimplexSlab`, a stream, the scenario config
+    and the JSON inputs read.
 
     Decimal and fraction strings (``"0.05"``, ``"1/20"``), ints and Fractions
     are exact as given.  A float is read by its shortest round-tripping
@@ -119,6 +123,34 @@ def _coerce_vector(values, name: str) -> tuple[float, ...]:
     return tuple(float(_coerce_cell(cell, f"{name}[{s}]")) for s, cell in enumerate(_cells(values, name)))
 
 
+class SimplexSlab:
+    """The set of share vectors with ``lower_s <= rho_s <= upper_s`` summing to
+    1 within :data:`SHARE_SUM_TOL`; the bounds are read by
+    :func:`_coerce_vector` into tuples of floats."""
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower, upper):
+        lower = _coerce_vector(lower, "maxent lower bounds")
+        upper = _coerce_vector(upper, "maxent upper bounds")
+        if len(lower) != len(upper):
+            raise InvalidSpec("bounds must be two equal-length non-empty vectors")
+        if any(not 0.0 <= x <= 1.0 for x in lower + upper):
+            raise InvalidSpec("bounds must lie in [0, 1]")
+        if any(lo > hi for lo, hi in zip(lower, upper)):
+            raise InvalidSpec("each lower bound must not exceed its upper bound")
+        low_sum, high_sum = ordered_sum(lower), ordered_sum(upper)
+        if low_sum > 1.0 + SHARE_SUM_TOL or high_sum < 1.0 - SHARE_SUM_TOL:
+            raise EmptyRegion(
+                f"no share vector satisfies the bounds: sum(lower)={low_sum!r}, sum(upper)={high_sum!r}"
+            )
+        self.lower, self.upper = lower, upper
+
+    @property
+    def s(self) -> int:
+        return len(self.lower)
+
+
 MCAR = "mcar"
 MAR = "mar"
 MAXENT = "maxent"
@@ -174,10 +206,7 @@ class Mechanism:
             raise InvalidSpec("provide both maxent bounds or neither")
         if lower is None:
             return cls(kind=MAXENT)
-        slab = SimplexSlab(
-            _coerce_vector(lower, "maxent lower bounds"), _coerce_vector(upper, "maxent upper bounds")
-        )
-        return cls(kind=MAXENT, slab=slab)
+        return cls(kind=MAXENT, slab=SimplexSlab(lower, upper))
 
     def shares(self, n: int, n_ts):
         """The class shares the corrected estimate weights by, given the

@@ -35,18 +35,7 @@ from dataclasses import dataclass
 
 from .asymptotics import _class_sums
 from .errors import InvalidSpec, MechanismMismatch, UndefinedActiveInfo, ZeroTestingMass
-from .model import MCAR, Mechanism, _coerce_matrix, _coerce_whole
-
-
-def _floats(values, size: int, name: str) -> tuple[float, ...]:
-    """One float per symptom class, from any sequence of numbers."""
-    try:
-        floats = tuple(map(float, values))
-    except (TypeError, ValueError):
-        floats = ()
-    if len(floats) != size:
-        raise InvalidSpec(f"{name} must have one entry per symptom class")
-    return floats
+from .model import MCAR, Mechanism, _coerce_matrix, _coerce_vector, _coerce_whole
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +190,9 @@ def corrected_prevalence_limit(spec: PopulationSpec, weights=None) -> float:
     infection status this limit differs from the population prevalence; the
     gap ``|limit - p0|`` is the asymptotic bias floor of the correction.
     """
-    w = spec.rho_s if weights is None else _floats(weights, spec.s, "weights")
+    w = spec.rho_s if weights is None else _coerce_vector(weights, "weights")
+    if len(w) != spec.s:
+        raise InvalidSpec("weights must have one entry per symptom class")
     total = 0.0
     for s in range(spec.s):
         if w[s] <= 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .errors import InvalidSpec
+from .model import _coerce_whole
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,9 @@ class RngStream:
         Master seed in ``[0, 2**64)``.
     stream : int
         Substream id in ``[0, 2**64)``; defaults to 0.
+
+    Both are read as the scenario config reads its seed: ``7``, ``7.0`` and
+    ``"7"`` are the same stream, and bools are refused.
     """
 
     seed: int
@@ -34,11 +37,9 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 2**64:
-                raise InvalidSpec(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+            object.__setattr__(self, name, _coerce_whole(getattr(self, name), name, high=2**64 - 1))
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the stream origin: what
         ``default_rng`` builds from the same SeedSequence, at a lower cost."""
-        return Generator(PCG64(SeedSequence((int(self.seed), int(self.stream)))))
+        return Generator(PCG64(SeedSequence((self.seed, self.stream))))

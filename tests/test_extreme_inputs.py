@@ -209,6 +209,11 @@ PINNED_SHARE_RUN = {
     "population": {"rho": [["0", "1/100"], ["98/100", "1/100"]], "pi": [[1, 1], [0.1, 0.1]]},
     "mechanism": {"type": "maxent", "lower": [1e-310, 0], "upper": [1e-310, 1]},
 }
+# with nobody infected in the other class, every kept replicate has p0_hat =
+# 1e-310, and so has their mean: mean p_hat / mean p0_hat overflows as well
+PINNED_ONLY_RUN = dict(
+    PINNED_SHARE_RUN, replicates=50, population={"rho": [["0", "1/100"], ["99/100", "0"]], "pi": [[1, 1], [0.1, 0.1]]}
+)
 
 
 def test_a_run_counts_as_undefined_the_information_that_the_estimate_leaves_null(tmp_path, capsys):
@@ -222,6 +227,16 @@ def test_a_run_counts_as_undefined_the_information_that_the_estimate_leaves_null
     bundles = [build_bundle(Outcome(counts=table, n=100), cfg.mechanism) for table in counts]
     null = sum(math.isnan(bundle.i_t_hat) for bundle in bundles)
     assert (row["kept"], row["undefined_active_info"], null) == (200, 183, 183)
+    # the aggregate i_plus_t = log(mean p_hat / mean p0_hat) follows the same
+    # rule: undefined, NaN in csv and null in json, not inf
+    config.write_text(json.dumps(PINNED_ONLY_RUN))
+    for fmt in ("csv", "json"):
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / fmt), "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+    header, line = (tmp_path / "csv" / "pinned_activeinfo.csv").read_text().splitlines()
+    (row,) = json.loads((tmp_path / "json" / "pinned_activeinfo.json").read_text())
+    assert dict(zip(header.split(","), line.split(",")))["i_plus_t"] == "nan"
+    assert (row["kept"], row["undefined_active_info"], row["i_plus_t"]) == (50, 50, None)
 
 
 ALPHA_TABLE = {"N": 10_000, "counts": [[300, 30], [40, 60]], "mechanism": {"type": "mar", "rho_s": ["0.8", "0.2"]}}

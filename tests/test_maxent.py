@@ -28,6 +28,16 @@ class TestSlab:
         with pytest.raises(InvalidSpec):
             SimplexSlab([float("nan"), 0.5], [float("nan"), 0.6])
 
+    def test_bounds_are_read_by_the_number_parser(self):
+        with pytest.raises(InvalidSpec, match=r"^maxent lower bounds\[0\] is not a number: True$"):
+            SimplexSlab([True, 0.0], [1, 1])
+        with pytest.raises(InvalidSpec, match=r"^maxent upper bounds\[1\] is not a number: False$"):
+            SimplexSlab([0.0, 0.0], [1, False])
+        slab = SimplexSlab(["1/4", "1/4"], [1, "1"])
+        assert (slab.lower, slab.upper) == ((0.25, 0.25), (1.0, 1.0))
+        with pytest.raises(InvalidSpec, match="^bounds must be two equal-length non-empty vectors$"):
+            SimplexSlab([0.5], [0.5, 0.5])
+
     def test_empty_region_detected(self):
         with pytest.raises(EmptyRegion):
             SimplexSlab([0.7, 0.6], [0.8, 0.7])  # lower sum > 1

@@ -236,6 +236,19 @@ class TestCorrectedLimit:
     def test_symptom_only_testing_has_no_bias(self, spec_mar):
         assert corrected_prevalence_limit(spec_mar) == pytest.approx(0.2, abs=1e-12)
 
+    def test_weights_are_read_by_the_number_parser(self, spec_mnar):
+        limit = corrected_prevalence_limit(spec_mnar, [0.25, 0.75])
+        assert corrected_prevalence_limit(spec_mnar, ["1/4", "3/4"]) == limit
+        assert corrected_prevalence_limit(spec_mnar, np.array([0.25, 0.75])) == limit
+        for weights, message in (
+            ([True, False], r"^weights\[0\] is not a number: True$"),
+            ([0.25, math.nan], r"^weights\[1\] is not a finite number: nan$"),
+            ([1.0], "^weights must have one entry per symptom class$"),
+            ([], "^weights must be a non-empty list$"),
+        ):
+            with pytest.raises(InvalidSpec, match=message):
+                corrected_prevalence_limit(spec_mnar, weights)
+
 
 class TestExactQuantities:
     def test_base_mar_scenario_matches_rational_oracle(self, spec_mar, mech_mar):

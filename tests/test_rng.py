@@ -185,3 +185,15 @@ def test_seed_outside_64_bits_rejected(seed):
         RngStream(seed)
     with pytest.raises(InvalidSpec):
         RngStream(0, seed)
+
+
+def test_seed_and_stream_are_read_as_the_config_reads_its_seed():
+    draws = RngStream(7, 3).generator().binomial(1000, 0.3, size=8).tolist()
+    for seed, stream in ((7.0, 3.0), ("7", "3"), ("7e0", "6/2"), (np.uint64(7), np.int8(3))):
+        assert RngStream(seed, stream) == RngStream(7, 3)
+        assert RngStream(seed, stream).generator().binomial(1000, 0.3, size=8).tolist() == draws
+    for value in (True, False, 7.5, "seven", float("nan")):
+        with pytest.raises(InvalidSpec):
+            RngStream(value)
+        with pytest.raises(InvalidSpec):
+            RngStream(0, value)
